@@ -17,7 +17,6 @@ from .degradation import (
     DegradationObservations,
     DeterministicScale,
     GammaModel,
-    ScaleRealization,
     UniformInverseScale,
     delta_hitting_survival,
     fit_half_width,
@@ -28,8 +27,6 @@ from .degradation import (
     random_effect_hitting_cdf,
     random_effect_moments,
     random_effect_pdf,
-    realize_scale,
-    sample_increment,
 )
 from .errors import NumericalError, ValidationError
 from .lifetime import (

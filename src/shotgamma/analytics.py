@@ -24,14 +24,14 @@ from scipy.interpolate import PchipInterpolator
 
 from .degradation import DeterministicScale, delta_hitting_survival
 from .errors import NumericalError, ValidationError
-from .lifetime import HittingLaw, SystemSpec, first_passage_law
+from .lifetime import HittingLaw, SystemSpec, _decayed_convolution, first_passage_law
 from .maintenance import CostRates, PolicyParams
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+from .special import leggauss
 
 
 def _gl(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    return 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b), 0.5 * (b - a) * _GL_WEIGHTS
+    nodes, weights = leggauss(32)
+    return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,6 @@ class PolicyAnalytics:
             gap_surv = delta_hitting_survival(spec.growth.shape_rate, rate, M, L, ts)
             self._gap_surv = PchipInterpolator(ts, gap_surv)
             # decayed convolution of the hitting density with the shock kernel
-            from .lifetime import _decayed_convolution
-
             f_m = self._law_m.pdf(np.maximum(ts, 1e-9))
             conv = _decayed_convolution(f_m, ts[1] - ts[0], spec.arrivals.delta)
             self._shock_conv = PchipInterpolator(ts, conv)
@@ -118,9 +116,6 @@ class PolicyAnalytics:
                 "preventive/corrective split requires a deterministic scale model"
             )
 
-    def first_crossing_pdf(self, u: np.ndarray) -> np.ndarray:
-        return self._passage.hazard(u) * self._passage.survival(u)
-
     def secondary_void(self, u: float, v: float) -> float:
         """P(no other process crosses the failure level in (u, v]).
 
@@ -135,9 +130,10 @@ class PolicyAnalytics:
         w, ww = _gl(u, v)
         area = float(np.sum(ww * self._law_m.cdf(w) * gap_cdf(v - w)))
         s, ws = _gl(0.0, v)
+        nodes, weights = leggauss(32)
         lo = np.maximum(s, u)
-        mid = 0.5 * (v - lo)[:, None] * (_GL_NODES + 1.0) + lo[:, None]
-        wts = 0.5 * (v - lo)[:, None] * _GL_WEIGHTS
+        mid = 0.5 * (v - lo)[:, None] * (nodes + 1.0) + lo[:, None]
+        wts = 0.5 * (v - lo)[:, None] * weights
         q = np.sum(wts * self._shock_conv(np.maximum(mid - s[:, None], 0.0)) * gap_cdf(v - mid), axis=1)
         j = float(np.sum(ws * (-np.expm1(-q))))
         arr = self.spec.arrivals
@@ -149,7 +145,7 @@ class PolicyAnalytics:
         T = self.policy.inspection_period
         tau = (k + 1) * T
         u, wu = _gl(k * T, tau)
-        f_v = self.first_crossing_pdf(u)
+        f_v = self._passage.pdf(u)
         if self.policy.preventive_threshold >= self.spec.failure_threshold:
             # pure corrective policy: the first crossing is the failure
             mass = float(np.sum(wu * f_v))
@@ -160,7 +156,7 @@ class PolicyAnalytics:
         p_p = float(np.sum(wu * f_v * keep))
         p_c = float(np.sum(wu * f_v * (1.0 - keep)))
         downtime = 0.0
-        inner_nodes, inner_w = np.polynomial.legendre.leggauss(n_inner)
+        inner_nodes, inner_w = leggauss(n_inner)
         for ui, wui, fvi in zip(u, wu, f_v):
             v = 0.5 * (tau - ui) * (inner_nodes + 1.0) + ui
             wv = 0.5 * (tau - ui) * inner_w

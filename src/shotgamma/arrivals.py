@@ -3,11 +3,13 @@
 Shocks arrive as a homogeneous Poisson process and each shock adds an
 exponentially decaying bump to the arrival intensity on top of a constant
 base level. Degradation-process arrival times are sampled exactly by
-thinning against a piecewise-constant dominating rate.
+thinning against a piecewise-constant dominating rate; one kernel,
+:func:`thin_segments`, serves every sampler in the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +87,6 @@ class ArrivalTrajectory:
             _validate_times(self.arrival_times, self.horizon, "arrival times"),
         )
 
-    def count_by(self, t: float) -> int:
-        return int(np.searchsorted(self.arrival_times, t, side="right"))
-
 
 def intensity_at(params: ShotNoiseParams, shocks: ShockTrajectory, s) -> np.ndarray:
     """Stochastic arrival intensity at time(s) ``s`` given a shock history.
@@ -141,48 +140,61 @@ def simulate_shocks(
     return ShockTrajectory(horizon=horizon, shock_times=times)
 
 
-def _thin_arrivals(
+def thin_segments(
+    params: ShotNoiseParams,
+    left: np.ndarray,
+    length: np.ndarray,
+    carry: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Thinning on inter-shock segments against a piecewise-constant bound.
+
+    Segment ``j`` starts at ``left[j]``, lasts ``length[j]`` and opens with
+    the summed shock contribution ``carry[j]``. Its dominating rate is the
+    intensity at the left edge frozen there (the decaying kernel only falls
+    in between), which the sampler asserts on every proposal. Returns the
+    segment index and time of each accepted point, in proposal order.
+    """
+    bounds = params.lambda0 + carry
+    counts = rng.poisson(bounds * length)
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=int), np.empty(0)
+    seg = np.repeat(np.arange(left.size), counts)
+    u = rng.uniform(size=2 * total)
+    proposals = left[seg] + u[:total] * length[seg]
+    lam = params.lambda0 + carry[seg] * np.exp(-params.delta * (proposals - left[seg]))
+    bound_at = bounds[seg]
+    if np.any(lam > bound_at * (1 + 1e-12)):
+        raise AssertionError("thinning dominating bound violated")
+    keep = u[total:] * bound_at <= lam
+    return seg[keep], proposals[keep]
+
+
+def thin_history(
     params: ShotNoiseParams,
     shock_times: np.ndarray,
-    start: float,
     stop: float,
     carry: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Thinning on ``(start, stop]`` against a piecewise-constant bound.
+    """Arrival times on ``(0, stop]`` of one shock history, unsorted.
 
-    ``carry`` is the summed shock contribution at ``start`` from shocks
-    before ``start``; ``shock_times`` are the shocks inside ``(start, stop]``.
-    The dominating rate on each inter-shock segment is the intensity at the
-    segment's left edge frozen there (the decaying kernel only falls in
-    between), refreshed at each shock. It never exceeds the base level plus
-    the shock count, which the sampler asserts on every proposal.
+    ``carry`` is the summed shock contribution at 0 from earlier shocks;
+    ``shock_times`` are the sorted shocks inside ``(0, stop]``, each opening
+    a new segment. No segment's carry may exceed ``carry`` plus the number
+    of shocks before it.
     """
-    if stop <= start:
-        return np.empty(0)
     delta = params.delta
-    edges = np.concatenate(([start], shock_times, [stop]))
-    lengths = np.diff(edges)
-    n_seg = lengths.size
-    # Exact shock contribution at each segment's left edge.
-    seg_carry = np.empty(n_seg)
-    seg_carry[0] = carry
-    for j in range(1, n_seg):
-        seg_carry[j] = seg_carry[j - 1] * np.exp(-delta * (edges[j] - edges[j - 1])) + 1.0
-    bounds = params.lambda0 + seg_carry
-    counts = rng.poisson(bounds * lengths)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0)
-    seg_idx = np.repeat(np.arange(n_seg), counts)
-    proposals = edges[seg_idx] + rng.uniform(size=total) * lengths[seg_idx]
-    lam = params.lambda0 + seg_carry[seg_idx] * np.exp(-delta * (proposals - edges[seg_idx]))
-    bound_at = bounds[seg_idx]
-    loose_bound = params.lambda0 + carry + np.searchsorted(shock_times, proposals, side="right")
-    if np.any(lam > bound_at * (1 + 1e-12)) or np.any(lam > loose_bound * (1 + 1e-12)):
-        raise AssertionError("thinning dominating bound violated")
-    keep = rng.uniform(size=total) * bound_at <= lam
-    return np.sort(proposals[keep])
+    edges = np.concatenate(([0.0], shock_times, [stop]))
+    e = edges.tolist()  # the scalar loop runs faster on Python floats
+    seg_carry = [carry]
+    for j in range(1, len(e) - 1):
+        c = seg_carry[-1] * math.exp(-delta * (e[j] - e[j - 1])) + 1.0
+        if c > (carry + j) * (1 + 1e-12):
+            raise AssertionError("thinning dominating bound violated")
+        seg_carry.append(c)
+    return thin_segments(params, edges[:-1], edges[1:] - edges[:-1], np.array(seg_carry), rng)[1]
 
 
 def simulate_arrivals(
@@ -201,7 +213,7 @@ def simulate_arrivals(
     if shocks.horizon < horizon:
         raise ValidationError("shock trajectory horizon shorter than requested horizon")
     inside = shocks.shock_times[shocks.shock_times <= horizon]
-    times = _thin_arrivals(params, inside, 0.0, horizon, carry=0.0, rng=rng)
+    times = np.sort(thin_history(params, inside, horizon, 0.0, rng))
     return ArrivalTrajectory(horizon=horizon, arrival_times=times)
 
 
@@ -213,57 +225,39 @@ def simulate_arrival_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrival times for many independent trajectories in one flat pass.
 
-    Returns ``(run_ids, times)`` with times unsorted within a run. Same
-    piecewise-bound thinning as :func:`simulate_arrivals`, carried out on
-    flattened segment arrays so that large replication counts stay cheap.
+    Returns ``(run_ids, times)`` with times unsorted within a run. The
+    shock carries follow the recursion of :func:`thin_history`, advanced
+    by shock rank for all runs at once, and every run's segments go through
+    one :func:`thin_segments` call.
     """
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
-    if params.delta * horizon > 600.0:
-        raise ValidationError("batch sampler limited to delta * horizon <= 600")
     n_sh = rng.poisson(params.mu * horizon, size=n_runs)
     total_sh = int(n_sh.sum())
     sh_run = np.repeat(np.arange(n_runs), n_sh)
     sh_t = rng.uniform(0.0, horizon, size=total_sh)
-    order = np.lexsort((sh_t, sh_run))
-    sh_t = sh_t[order]
-    run_starts = np.concatenate(([0], np.cumsum(n_sh)))
-    # Summed exp(delta * T_i) within each run, up to and including each shock.
-    e_plus = np.exp(params.delta * sh_t)
-    cs = np.cumsum(e_plus)
-    offsets = np.concatenate(([0.0], cs))[run_starts[:-1]]
-    cs_run = cs - np.repeat(offsets, n_sh)
-    carry_at_shock = np.exp(-params.delta * sh_t) * cs_run
+    sh_t = sh_t[np.lexsort((sh_t, sh_run))]
+    # Carry just after each shock: c_j = c_{j-1} * exp(-delta * gap) + 1.
+    sh_carry = np.ones(total_sh)
+    decay = np.exp(-params.delta * np.diff(sh_t))
+    # Runs sorted by shock count, so those with more than r shocks, n_over[r]
+    # of them, form a prefix; first holds each run's first shock position.
+    by_count = np.argsort(-n_sh, kind="stable")
+    first = (np.cumsum(n_sh) - n_sh)[by_count]
+    n_over = np.searchsorted(-n_sh[by_count], -np.arange(int(n_sh.max(initial=0))), side="left")
+    for rank in range(1, n_over.size):
+        idx = first[: n_over[rank]] + rank
+        sh_carry[idx] += sh_carry[idx - 1] * decay[idx - 1]
     # One segment per (run, inter-shock gap): N_i + 1 segments per run.
-    n_slots = total_sh + n_runs
-    first_pos = run_starts[:-1] + np.arange(n_runs)
-    is_first = np.zeros(n_slots, dtype=bool)
-    is_first[first_pos] = True
-    seg_left = np.empty(n_slots)
-    seg_left[is_first] = 0.0
-    seg_left[~is_first] = sh_t
-    last_pos = run_starts[1:] + np.arange(n_runs)
-    is_last = np.zeros(n_slots, dtype=bool)
-    is_last[last_pos] = True
-    seg_right = np.empty(n_slots)
-    seg_right[is_last] = horizon
-    seg_right[~is_last] = sh_t
-    seg_carry = np.zeros(n_slots)
-    seg_carry[~is_first] = carry_at_shock
-    seg_run = np.repeat(np.arange(n_runs), n_sh + 1)
-    bounds = params.lambda0 + seg_carry
-    lengths = seg_right - seg_left
-    counts = rng.poisson(bounds * lengths)
-    total_prop = int(counts.sum())
-    if total_prop == 0:
-        return np.empty(0, dtype=int), np.empty(0)
-    slot = np.repeat(np.arange(n_slots), counts)
-    prop_t = seg_left[slot] + rng.uniform(size=total_prop) * lengths[slot]
-    lam = params.lambda0 + seg_carry[slot] * np.exp(-params.delta * (prop_t - seg_left[slot]))
-    if np.any(lam > bounds[slot] * (1 + 1e-12)):
-        raise AssertionError("thinning dominating bound violated")
-    keep = rng.uniform(size=total_prop) * bounds[slot] <= lam
-    return seg_run[slot[keep]], prop_t[keep]
+    at_shock = np.arange(total_sh) + sh_run + 1
+    left = np.zeros(total_sh + n_runs)
+    left[at_shock] = sh_t
+    right = np.full(total_sh + n_runs, float(horizon))
+    right[at_shock - 1] = sh_t
+    carry = np.zeros(total_sh + n_runs)
+    carry[at_shock] = sh_carry
+    seg, times = thin_segments(params, left, right - left, carry, rng)
+    return np.repeat(np.arange(n_runs), n_sh + 1)[seg], times
 
 
 def write_trajectory_csv(path, times: np.ndarray) -> None:

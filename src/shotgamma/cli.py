@@ -146,7 +146,7 @@ def cmd_optimize(config: ExperimentConfig, args, outdir: Path) -> int:
     t_grid, m_grid = config.grids_or_error()
     result = grid_search(
         config.system,
-        config.costs,
+        config.costs_or_error(),
         t_grid,
         m_grid,
         config.n_cycles,
@@ -176,16 +176,17 @@ def cmd_sensitivity(config: ExperimentConfig, args, outdir: Path) -> int:
     axis2 = [float(v) for v in sens.get("axis2", [])]
     if not axis1 or not axis2:
         raise ValidationError("sensitivity.axis1 and axis2 must be non-empty")
+    costs = config.costs_or_error()
     n_cycles = int(sens.get("n_cycles", config.n_cycles))
     if kind == "parameters":
         t_grid, m_grid = config.grids_or_error()
         rows = sensitivity_sweep(
-            config.system, config.costs, kind, axis1, axis2, t_grid, m_grid,
+            config.system, costs, kind, axis1, axis2, t_grid, m_grid,
             n_cycles, config.sim, config.master_seed, threads=args.threads,
         )
     else:
         rows = sensitivity_sweep(
-            config.system, config.costs, kind, axis1, axis2, None, None,
+            config.system, costs, kind, axis1, axis2, None, None,
             n_cycles, config.sim, config.master_seed, threads=args.threads,
             fixed_policy=config.policy_or_error(),
         )

@@ -1,8 +1,9 @@
 """Declarative experiment configuration: YAML parsing, validation, presets.
 
 A config file fully determines a run: system parameters, policy (fixed or
-grids), costs, simulation controls and the master seed. Unknown keys are
-rejected so typos fail loudly instead of silently running defaults.
+grids), costs (needed only by ``optimize`` and ``sensitivity``), simulation
+controls and the master seed. Unknown keys are rejected so typos fail
+loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class ExperimentConfig:
     t_grid: np.ndarray | None
     m_grid: np.ndarray | None
     fixed_policy: PolicyParams | None
-    costs: CostRates
+    costs: CostRates | None
     n_cycles: int
     sim: SimControl
     master_seed: int
@@ -89,6 +90,11 @@ class ExperimentConfig:
         if self.fixed_policy is None:
             raise ValidationError("this command needs a fixed policy: set policy.T and policy.M")
         return self.fixed_policy
+
+    def costs_or_error(self) -> CostRates:
+        if self.costs is None:
+            raise ValidationError("this command needs a costs section")
+        return self.costs
 
     def grids_or_error(self) -> tuple[np.ndarray, np.ndarray]:
         if self.t_grid is None or self.m_grid is None:
@@ -111,12 +117,6 @@ class ExperimentConfig:
                 "failure_threshold": self.system.failure_threshold,
             },
             "policy": {},
-            "costs": {
-                "preventive": self.costs.preventive,
-                "corrective": self.costs.corrective,
-                "inspection": self.costs.inspection,
-                "downtime_rate": self.costs.downtime_rate,
-            },
             "simulation": {
                 "n_cycles": self.n_cycles,
                 "substeps": self.sim.substeps,
@@ -133,6 +133,13 @@ class ExperimentConfig:
         if self.fixed_policy is not None:
             out["policy"]["T"] = self.fixed_policy.inspection_period
             out["policy"]["M"] = self.fixed_policy.preventive_threshold
+        if self.costs is not None:
+            out["costs"] = {
+                "preventive": self.costs.preventive,
+                "corrective": self.costs.corrective,
+                "inspection": self.costs.inspection,
+                "downtime_rate": self.costs.downtime_rate,
+            }
         if self.fit:
             out["fit"] = self.fit
         if self.sensitivity:
@@ -214,18 +221,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
         fixed.validate_against(system)
 
     cost_raw = raw.get("costs")
-    if not isinstance(cost_raw, dict):
-        raise ValidationError("config needs a costs section")
-    _require_keys(cost_raw, {"preventive", "corrective", "inspection", "downtime_rate"}, "costs")
-    try:
-        costs = CostRates(
-            float(cost_raw["preventive"]),
-            float(cost_raw["corrective"]),
-            float(cost_raw["inspection"]),
-            float(cost_raw["downtime_rate"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"costs section is missing {exc}") from None
+    costs = None
+    if cost_raw is not None:
+        if not isinstance(cost_raw, dict):
+            raise ValidationError("costs must be a mapping")
+        _require_keys(cost_raw, {"preventive", "corrective", "inspection", "downtime_rate"}, "costs")
+        try:
+            costs = CostRates(
+                float(cost_raw["preventive"]),
+                float(cost_raw["corrective"]),
+                float(cost_raw["inspection"]),
+                float(cost_raw["downtime_rate"]),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"costs section is missing {exc}") from None
 
     sim_raw = raw.get("simulation", {}) or {}
     _require_keys(

@@ -1,7 +1,7 @@
 """Gamma-process growth: increments, hitting-time laws and random effects.
 
 A degradation path grows with independent ``Gamma(shape_rate * dt, rate)``
-increments. The module provides exact increment sampling, the first
+increments. The module provides the per-process rate draw, the first
 hitting-time law of a level, the survival law of the gap between the
 crossings of two levels (via the overshoot distribution at the lower
 level), and the uniform-inverse-scale random-effects model with its
@@ -17,13 +17,9 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sp
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize
 
 from .errors import NumericalError, ValidationError
-from .special import gamma_pdf, log_gamma_diff
-
-_EULER_GAMMA = float(np.euler_gamma)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+from .special import gamma_pdf, leggauss, log_gamma_diff
 
 
 # ---------------------------------------------------------------------------
@@ -81,45 +77,16 @@ class GammaModel:
     def has_random_effects(self) -> bool:
         return isinstance(self.scale_spec, UniformInverseScale)
 
-    def mean_inverse_rate(self) -> float:
-        if isinstance(self.scale_spec, DeterministicScale):
-            return 1.0 / self.scale_spec.beta
-        return 0.5 * (self.scale_spec.a + self.scale_spec.b)
+    def draw_rates(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Process-specific rates, drawn once per process and held fixed.
 
-
-@dataclass(frozen=True)
-class ScaleRealization:
-    """A concrete rate for one degradation process's lifetime."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValidationError("rate must be positive")
-
-
-def realize_scale(model: GammaModel, rng: np.random.Generator) -> ScaleRealization:
-    """Draw the process-specific rate; drawn once per process and held fixed."""
-    spec = model.scale_spec
-    if isinstance(spec, DeterministicScale):
-        return ScaleRealization(spec.beta)
-    theta = rng.uniform(spec.a, spec.b)
-    return ScaleRealization(1.0 / theta)
-
-
-def sample_increment(
-    scale: ScaleRealization,
-    shape_rate: float,
-    dt,
-    rng: np.random.Generator,
-    size=None,
-):
-    """Exact ``Gamma(shape_rate * dt, rate)`` increment(s) over a step ``dt``."""
-    dt_arr = np.asarray(dt, float)
-    if np.any(dt_arr <= 0):
-        raise ValidationError("dt must be positive")
-    draw = rng.gamma(shape=shape_rate * dt_arr, scale=1.0 / scale.rate, size=size)
-    return float(draw) if np.isscalar(dt) and size is None else draw
+        A deterministic scale draws nothing; a uniform inverse scale draws
+        the inverse rate.
+        """
+        spec = self.scale_spec
+        if isinstance(spec, DeterministicScale):
+            return np.full(size, spec.beta)
+        return 1.0 / rng.uniform(spec.a, spec.b, size)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +113,12 @@ def hitting_cdf(shape_rate: float, rate: float, threshold: float, t) -> np.ndarr
     return float(out) if np.isscalar(t) else out
 
 
-def hitting_pdf(shape_rate: float, rate: float, threshold: float, t) -> np.ndarray:
-    """Density of the first hitting time by central differencing of the CDF.
+def difference_pdf(cdf, t) -> np.ndarray:
+    """Density by an adaptive-step central difference of a hitting CDF.
 
-    The shape-parameter derivative of the regularized incomplete gamma has no
-    elementary form, so an adaptive-step difference quotient is used; a step
-    that loses every significant digit raises ``NumericalError``.
+    The shape-parameter derivative of the regularized incomplete gamma has
+    no elementary form, so a difference quotient is used; a step that loses
+    every significant digit raises ``NumericalError``.
     """
     t_arr = np.atleast_1d(np.asarray(t, float))
     if np.any(t_arr <= 0):
@@ -159,14 +126,19 @@ def hitting_pdf(shape_rate: float, rate: float, threshold: float, t) -> np.ndarr
     h = np.maximum(1e-5, 1e-4 * t_arr)
     lo = np.maximum(t_arr - h, 0.0)
     hi = t_arr + h
-    f_hi = hitting_cdf(shape_rate, rate, threshold, hi)
-    f_lo = hitting_cdf(shape_rate, rate, threshold, lo)
+    f_hi = cdf(hi)
+    f_lo = cdf(lo)
     out = (f_hi - f_lo) / (hi - lo)
     interior = (f_lo > 1e-14) & (f_hi < 1.0 - 1e-14)
     if np.any(interior & (f_hi == f_lo)):
-        raise NumericalError("hitting_pdf difference quotient lost all significant digits")
+        raise NumericalError("hitting density difference quotient lost all significant digits")
     out = np.maximum(out, 0.0)
     return float(out[0]) if np.isscalar(t) else out
+
+
+def hitting_pdf(shape_rate: float, rate: float, threshold: float, t) -> np.ndarray:
+    """Density of the first hitting time, by :func:`difference_pdf` of :func:`hitting_cdf`."""
+    return difference_pdf(lambda x: hitting_cdf(shape_rate, rate, threshold, x), t)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +148,14 @@ def hitting_pdf(shape_rate: float, rate: float, threshold: float, t) -> np.ndarr
 def _volterra_nu_log(log_c: np.ndarray) -> np.ndarray:
     """``integral of exp(w*log_c) / Gamma(w) over w in (0, inf)``, vectorized."""
     log_c = np.atleast_1d(np.asarray(log_c, float))
+    nodes, weights = leggauss(64)
     w_max = max(60.0, float(np.exp(min(log_c.max(), 50.0))) * 1.6 + 40.0)
     edges = np.array([0.0, 1e-3, 1e-2, 1e-1, 1.0, 4.0, 16.0])
     edges = np.append(edges[edges < w_max], w_max)
-    w = 0.5 * (edges[:-1, None] * (1 - _GL_NODES) + edges[1:, None] * (1 + _GL_NODES))
+    w = 0.5 * (edges[:-1, None] * (1 - nodes) + edges[1:, None] * (1 + nodes))
     half = 0.5 * (edges[1:] - edges[:-1])
     w_flat = w.ravel()
-    wt_flat = (half[:, None] * _GL_WEIGHTS).ravel()
+    wt_flat = (half[:, None] * weights).ravel()
     expo = np.outer(log_c, w_flat) - sp.gammaln(w_flat)
     np.clip(expo, -745.0, None, out=expo)
     return np.exp(expo) @ wt_flat
@@ -204,13 +177,14 @@ def _potential_nodes(shape_rate: float, rate: float, upper: float) -> tuple[np.n
     log space because ``z`` itself underflows there. Near ``upper`` geometric
     panels absorb a possible logarithmic factor from the caller's kernel.
     """
+    nodes, weights = leggauss(64)
     z0 = min(0.5 * upper, 0.2 / rate)
     u0 = 1.0 / np.log(1.0 / (rate * z0))
-    u = 0.5 * u0 * (_GL_NODES + 1.0)
+    u = 0.5 * u0 * (nodes + 1.0)
     z_sing = np.exp(np.maximum(-1.0 / u, -700.0)) / rate
     # weight * U(z) with U(z)*dz/du = exp(-rate*z) * nu(rate*z) / (shape_rate*u^2)
     uw_sing = (
-        0.5 * u0 * _GL_WEIGHTS
+        0.5 * u0 * weights
         * np.exp(-rate * z_sing)
         * _volterra_nu_log(-1.0 / u)
         / (shape_rate * u**2)
@@ -221,9 +195,9 @@ def _potential_nodes(shape_rate: float, rate: float, upper: float) -> tuple[np.n
         edges.append(z0 + gap * frac)
     z_mid, uw_mid = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        z_nodes = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
+        z_nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         z_mid.append(z_nodes)
-        uw_mid.append(0.5 * (hi - lo) * _GL_WEIGHTS * _potential_density(shape_rate, rate, z_nodes))
+        uw_mid.append(0.5 * (hi - lo) * weights * _potential_density(shape_rate, rate, z_nodes))
     z_nodes = np.concatenate([z_sing] + z_mid)
     uw_nodes = np.concatenate([uw_sing] + uw_mid)
     return z_nodes, uw_nodes
@@ -264,11 +238,12 @@ class DeltaHittingLaw:
         # logarithmic singularity (the tail itself stays continuous).
         gap = upper - lower
         fracs = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.6, 1.0])
+        gl_nodes, gl_weights = leggauss(64)
         nodes, weights = [], []
         for flo, fhi in zip(fracs[:-1], fracs[1:]):
             lo, hi = lower + gap * flo, lower + gap * fhi
-            nodes.append(0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo))
-            weights.append(0.5 * (hi - lo) * _GL_WEIGHTS)
+            nodes.append(0.5 * (hi - lo) * gl_nodes + 0.5 * (hi + lo))
+            weights.append(0.5 * (hi - lo) * gl_weights)
         self._y_nodes = np.concatenate(nodes)
         self._y_weights = np.concatenate(weights)
         self._y_tail = self._overshoot_tail(self._y_nodes) / norm
@@ -371,13 +346,14 @@ def random_effect_hitting_cdf(model: GammaModel, threshold: float, t) -> np.ndar
     t_arr = np.atleast_1d(np.asarray(t, float))
     if np.any(t_arr < 0):
         raise ValidationError("time must be non-negative")
-    theta = 0.5 * (spec.b - spec.a) * _GL_NODES + 0.5 * (spec.a + spec.b)
+    nodes, weights = leggauss(64)
+    theta = 0.5 * (spec.b - spec.a) * nodes + 0.5 * (spec.a + spec.b)
     out = np.zeros_like(t_arr)
     pos = t_arr > 0
     if np.any(pos):
         shapes = model.shape_rate * t_arr[pos]
         vals = sp.gammaincc(shapes[:, None], threshold / theta[None, :])
-        out[pos] = vals @ (0.5 * _GL_WEIGHTS)
+        out[pos] = vals @ (0.5 * weights)
     return float(out[0]) if np.isscalar(t) else out
 
 
@@ -439,13 +415,6 @@ def matched_variance_comparison(a: float, b: float, shape_rate: float = 1.0) -> 
         matched_rate=2.0 / (a + b),
         gamma_crossover_k1=2.0 * s / (3.0 * (a + b)) - 1.0,
     )
-
-
-def marginal_hitting_cdf(model: GammaModel, threshold: float, t) -> np.ndarray:
-    """Hitting CDF under either scale specification."""
-    if isinstance(model.scale_spec, DeterministicScale):
-        return hitting_cdf(model.shape_rate, model.scale_spec.beta, threshold, t)
-    return random_effect_hitting_cdf(model, threshold, t)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +501,8 @@ def simulate_observation_paths(
     dts = np.diff(np.concatenate(([0.0], times)))
     all_t, all_x = [], []
     for _ in range(n_processes):
-        scale = realize_scale(model, rng)
-        increments = rng.gamma(shape=model.shape_rate * dts, scale=1.0 / scale.rate)
+        rate = model.draw_rates(rng, 1)
+        increments = rng.gamma(shape=model.shape_rate * dts, scale=1.0 / rate)
         all_t.append(times.copy())
         all_x.append(np.cumsum(increments))
     return DegradationObservations(times=all_t, levels=all_x)
@@ -618,28 +587,3 @@ def fit_half_width(
             best_w, best_v = w_ref, v_ref
     return best_w, best_v
 
-
-def fit_mle(
-    data: DegradationObservations,
-    x0: tuple[float, float, float] = (1.0, 0.5, 1.5),
-) -> tuple[float, float, float, float]:
-    """Joint (shape rate, a, b) maximum likelihood; exposed for completeness."""
-
-    def neg_ll(params):
-        alpha, a, width = params
-        if alpha <= 0 or a <= 0 or width <= 0:
-            return np.inf
-        try:
-            return -log_likelihood(alpha, a, a + width, data)
-        except (ValidationError, NumericalError):
-            return np.inf
-
-    alpha0, a0, b0 = x0
-    res = minimize(
-        neg_ll,
-        x0=np.array([alpha0, a0, b0 - a0]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-5, "fatol": 1e-8, "maxiter": 2000},
-    )
-    alpha, a, width = res.x
-    return float(alpha), float(a), float(a + width), float(res.fun)

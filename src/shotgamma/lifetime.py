@@ -20,14 +20,12 @@ from .arrivals import ShotNoiseParams, expected_intensity, simulate_arrival_batc
 from .degradation import (
     DeterministicScale,
     GammaModel,
-    UniformInverseScale,
+    difference_pdf,
     hitting_cdf,
-    hitting_pdf,
     random_effect_hitting_cdf,
 )
 from .errors import ValidationError
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+from .special import leggauss
 
 
 @dataclass(frozen=True)
@@ -78,15 +76,7 @@ class HittingLaw:
         return random_effect_hitting_cdf(self.growth, self.threshold, t)
 
     def pdf(self, t) -> np.ndarray:
-        spec = self.growth.scale_spec
-        if isinstance(spec, DeterministicScale):
-            return hitting_pdf(self.growth.shape_rate, spec.beta, self.threshold, t)
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        h = np.maximum(1e-5, 1e-4 * t_arr)
-        lo, hi = np.maximum(t_arr - h, 0.0), t_arr + h
-        out = (self.cdf(hi) - self.cdf(lo)) / (hi - lo)
-        out = np.maximum(out, 0.0)
-        return float(out[0]) if np.isscalar(t) else out
+        return difference_pdf(self.cdf, t)
 
 
 class FirstPassageLaw:
@@ -123,13 +113,9 @@ class FirstPassageLaw:
         I = _cumulative_simpson(F, h)
         J = _cumulative_simpson(G, h)
         self.times = ts
-        self._F = F
-        self._q = q
         self._c1_interp = PchipInterpolator(ts, arrivals.lambda0 * I)
         self._c2_interp = PchipInterpolator(ts, arrivals.mu * J)
         self._q_interp = PchipInterpolator(ts, q)
-        self.survival_grid = np.exp(-(arrivals.lambda0 * I + arrivals.mu * J))
-        self.hazard_grid = arrivals.lambda0 * F + arrivals.mu * G
 
     def _check_range(self, t_arr: np.ndarray) -> None:
         if np.any(t_arr < 0) or np.any(t_arr > self.t_max + 1e-9):
@@ -175,8 +161,8 @@ class FirstPassageLaw:
         return float(out[0]) if np.isscalar(t) else out
 
     def pdf(self, t) -> np.ndarray:
-        out = self.hazard(t) * self.survival(t)
-        return out
+        """Density of the first exceedance: hazard times survival."""
+        return self.hazard(t) * self.survival(t)
 
     def curve(self, times) -> LifetimeCurve:
         times = np.asarray(times, float)
@@ -222,29 +208,25 @@ def first_passage_law(spec: SystemSpec, threshold: float, t_max: float) -> First
     return _cached_first_passage(spec.arrivals, spec.growth, float(threshold), float(t_max))
 
 
-def first_passage_survival(spec: SystemSpec, threshold: float, t, t_max: float | None = None):
-    """Survival of the first exceedance of ``threshold``; 1 at t = 0."""
+def _law_call(method: str, spec: SystemSpec, threshold: float, t, t_max: float | None):
+    # The law's grid reaches t_max, by default a quarter past the latest time.
     t_arr = np.atleast_1d(np.asarray(t, float))
     cap = float(t_max) if t_max is not None else max(1.0, 1.25 * float(t_arr.max()))
-    law = first_passage_law(spec, threshold, cap)
-    out = law.survival(t_arr)
+    out = getattr(first_passage_law(spec, threshold, cap), method)(t_arr)
     return float(out[0]) if np.isscalar(t) else out
+
+
+def first_passage_survival(spec: SystemSpec, threshold: float, t, t_max: float | None = None):
+    """Survival of the first exceedance of ``threshold``; 1 at t = 0."""
+    return _law_call("survival", spec, threshold, t, t_max)
 
 
 def first_passage_hazard(spec: SystemSpec, threshold: float, t, t_max: float | None = None):
-    t_arr = np.atleast_1d(np.asarray(t, float))
-    cap = float(t_max) if t_max is not None else max(1.0, 1.25 * float(t_arr.max()))
-    law = first_passage_law(spec, threshold, cap)
-    out = law.hazard(t_arr)
-    return float(out[0]) if np.isscalar(t) else out
+    return _law_call("hazard", spec, threshold, t, t_max)
 
 
 def hazard_derivative(spec: SystemSpec, threshold: float, t, t_max: float | None = None):
-    t_arr = np.atleast_1d(np.asarray(t, float))
-    cap = float(t_max) if t_max is not None else max(1.0, 1.25 * float(t_arr.max()))
-    law = first_passage_law(spec, threshold, cap)
-    out = law.hazard_derivative(t_arr)
-    return float(out[0]) if np.isscalar(t) else out
+    return _law_call("hazard_derivative", spec, threshold, t, t_max)
 
 
 def hazard_limit(params: ShotNoiseParams) -> float:
@@ -265,8 +247,9 @@ def displaced_expected_intensity(spec: SystemSpec, threshold: float, t) -> float
     if t == 0 or spec.arrivals.mu == 0:
         return lam0_part
     delta = spec.arrivals.delta
-    u = 0.5 * t * (_GL_NODES + 1.0)
-    w = 0.5 * t * _GL_WEIGHTS
+    nodes, weights = leggauss(64)
+    u = 0.5 * t * (nodes + 1.0)
+    w = 0.5 * t * weights
     H = (1.0 - np.exp(-delta * u)) / delta
     f_vals = law.pdf(np.maximum(t - u, 1e-12))
     return lam0_part + spec.arrivals.mu * float(np.sum(w * H * f_vals))
@@ -282,8 +265,9 @@ def expected_exceedances(spec: SystemSpec, threshold: float, t) -> float:
     if t == 0:
         return 0.0
     law = HittingLaw(spec.growth, threshold)
-    u = 0.5 * t * (_GL_NODES + 1.0)
-    w = 0.5 * t * _GL_WEIGHTS
+    nodes, weights = leggauss(64)
+    u = 0.5 * t * (nodes + 1.0)
+    w = 0.5 * t * weights
     vals = expected_intensity(spec.arrivals, u) * law.cdf(t - u)
     return float(np.sum(w * vals))
 
@@ -300,11 +284,7 @@ class HittingTimeSampler:
         self.threshold = threshold
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        spec = self.growth.scale_spec
-        if isinstance(spec, UniformInverseScale):
-            rates = 1.0 / rng.uniform(spec.a, spec.b, size=size)
-        else:
-            rates = np.full(size, spec.beta)
+        rates = self.growth.draw_rates(rng, size)
         u = rng.uniform(size=size)
         return self.invert(u, rates)
 

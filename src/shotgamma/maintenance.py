@@ -18,6 +18,7 @@ from warnings import warn
 
 import numpy as np
 
+from .arrivals import thin_history
 from .degradation import DeterministicScale, GammaModel, UniformInverseScale
 from .errors import NumericalError, ValidationError
 from .lifetime import SystemSpec
@@ -65,6 +66,11 @@ class CostRates:
                 raise ValidationError(f"{name} cost must be non-negative")
         if self.corrective < self.preventive:
             warn("corrective cost below preventive cost; check the configuration")
+
+    def cycle_cost(self, action: str, inspections: int, downtime: float) -> float:
+        """Cost of one cycle: its inspections, the replacement its action calls for, downtime."""
+        replacement = {CORRECTIVE: self.corrective, PREVENTIVE: self.preventive}.get(action, 0.0)
+        return self.inspection * inspections + replacement + self.downtime_rate * downtime
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,6 @@ def simulate_cycle(
     arr = spec.arrivals
     growth = spec.growth
     alpha = growth.shape_rate
-    scale_spec = growth.scale_spec
     substeps = sim.substeps
     h = T / substeps
     grid_rel = h * np.arange(1, substeps + 1)
@@ -183,24 +188,8 @@ def simulate_cycle(
         # shocks inside this window
         n_sh = rng.poisson(arr.mu * T)
         sh = np.sort(rng.uniform(0.0, T, size=n_sh)) if n_sh else np.empty(0)
-        # thinned arrivals against the segment-frozen dominating rate
-        edges = np.concatenate(([0.0], sh, [T]))
-        seg_carry = np.empty(n_sh + 1)
-        seg_carry[0] = carry
-        for j in range(1, n_sh + 1):
-            seg_carry[j] = seg_carry[j - 1] * math.exp(-arr.delta * (edges[j] - edges[j - 1])) + 1.0
-        bounds = arr.lambda0 + seg_carry
-        lengths = np.diff(edges)
-        counts = rng.poisson(bounds * lengths)
-        total = int(counts.sum())
-        if total:
-            seg_idx = np.repeat(np.arange(n_sh + 1), counts)
-            uu = rng.uniform(size=2 * total)
-            prop = edges[seg_idx] + uu[:total] * lengths[seg_idx]
-            lam = arr.lambda0 + seg_carry[seg_idx] * np.exp(-arr.delta * (prop - edges[seg_idx]))
-            new_rel = prop[uu[total:] * bounds[seg_idx] <= lam]
-        else:
-            new_rel = np.empty(0)
+        # thinned arrivals, unsorted: their order fixes the order of the gamma draws
+        new_rel = thin_history(arr, sh, T, carry, rng)
         carry = carry * math.exp(-arr.delta * T) + float(np.sum(np.exp(-arr.delta * (T - sh))))
 
         # grow existing paths across the window
@@ -213,10 +202,7 @@ def simulate_cycle(
         # spawn paths for this window's arrivals
         n_new = new_rel.size
         if n_new:
-            if isinstance(scale_spec, DeterministicScale):
-                new_rates = np.full(n_new, scale_spec.beta)
-            else:
-                new_rates = 1.0 / rng.uniform(scale_spec.a, scale_spec.b, size=n_new)
+            new_rates = growth.draw_rates(rng, n_new)
             dts = np.clip(grid_rel[None, :] - new_rel[:, None], 0.0, h)
             inc = rng.gamma(alpha * dts) / new_rates[:, None]
             grid_new = np.cumsum(inc, axis=1)
@@ -250,63 +236,56 @@ def simulate_cycle(
                             ),
                         )
                     cross_time = refined
-                downtime = inspections * T - cross_time
-                return CycleOutcome(
-                    length=inspections * T,
-                    inspections=inspections,
-                    action=CORRECTIVE,
-                    downtime=downtime,
-                    cycle_cost=costs.inspection * inspections + costs.corrective
-                    + costs.downtime_rate * downtime,
-                )
+                return _outcome(costs, T, inspections, CORRECTIVE, inspections * T - cross_time)
             if end_levels.max() >= M:
-                return CycleOutcome(
-                    length=inspections * T,
-                    inspections=inspections,
-                    action=PREVENTIVE,
-                    downtime=0.0,
-                    cycle_cost=costs.inspection * inspections + costs.preventive,
-                )
+                return _outcome(costs, T, inspections, PREVENTIVE, 0.0)
             levels = end_levels
         else:
             levels = np.empty(0)
 
-    cap = sim.max_inspections
+    return _outcome(costs, T, sim.max_inspections, CENSORED, 0.0)
+
+
+def _outcome(costs: CostRates, T: float, inspections: int, action: str, downtime: float) -> CycleOutcome:
     return CycleOutcome(
-        length=cap * T,
-        inspections=cap,
-        action=CENSORED,
-        downtime=0.0,
-        cycle_cost=costs.inspection * cap,
+        length=inspections * T,
+        inspections=inspections,
+        action=action,
+        downtime=downtime,
+        cycle_cost=costs.cycle_cost(action, inspections, downtime),
     )
 
 
-def estimate_cost_rate(
+def _simulate_cycles(
     spec: SystemSpec,
     policy: PolicyParams,
     costs: CostRates,
     n_cycles: int,
     sim: SimControl,
     master_seed: int,
-    cell_index: int = 0,
-) -> CostRateEstimate:
-    """Renewal-reward cost rate over ``n_cycles`` independent cycles.
-
-    Every cycle consumes its own counter-derived stream, so the estimate is
-    a deterministic function of ``(master_seed, cell_index)`` regardless of
-    scheduling. Censored cycles are excluded from the ratio but reported in
-    the fractions; an all-censored batch raises.
-    """
+    cell_index: int,
+) -> list[CycleOutcome]:
     if n_cycles < 1:
         raise ValidationError("n_cycles must be at least 1")
+    return [
+        simulate_cycle(spec, policy, costs, sim, cycle_rng(master_seed, cell_index, i))
+        for i in range(n_cycles)
+    ]
+
+
+def _renewal_reward(outcomes: list[CycleOutcome], costs: CostRates) -> CostRateEstimate:
+    """Ratio of summed cycle costs to summed lengths over the uncensored cycles.
+
+    Each cycle is priced at ``costs``, whatever costs it was simulated with.
+    """
+    n_cycles = len(outcomes)
     cost_sum = 0.0
     len_sum = 0.0
     cost_sq = 0.0
     len_sq = 0.0
     cross = 0.0
     n_prev = n_corr = n_cens = 0
-    for i in range(n_cycles):
-        out = simulate_cycle(spec, policy, costs, sim, cycle_rng(master_seed, cell_index, i))
+    for out in outcomes:
         if out.action == CENSORED:
             n_cens += 1
             continue
@@ -314,11 +293,12 @@ def estimate_cost_rate(
             n_prev += 1
         else:
             n_corr += 1
-        cost_sum += out.cycle_cost
+        cost = costs.cycle_cost(out.action, out.inspections, out.downtime)
+        cost_sum += cost
         len_sum += out.length
-        cost_sq += out.cycle_cost**2
+        cost_sq += cost**2
         len_sq += out.length**2
-        cross += out.cycle_cost * out.length
+        cross += cost * out.length
     n_done = n_prev + n_corr
     if n_done == 0:
         raise NumericalError("all simulated cycles were censored at the inspection cap")
@@ -343,6 +323,26 @@ def estimate_cost_rate(
         censored_fraction=n_cens / n_cycles,
         mean_cycle_length=mean_l,
     )
+
+
+def estimate_cost_rate(
+    spec: SystemSpec,
+    policy: PolicyParams,
+    costs: CostRates,
+    n_cycles: int,
+    sim: SimControl,
+    master_seed: int,
+    cell_index: int = 0,
+) -> CostRateEstimate:
+    """Renewal-reward cost rate over ``n_cycles`` independent cycles.
+
+    Every cycle consumes its own counter-derived stream, so the estimate is
+    a deterministic function of ``(master_seed, cell_index)`` regardless of
+    scheduling. Censored cycles are excluded from the ratio but reported in
+    the fractions; an all-censored batch raises.
+    """
+    outcomes = _simulate_cycles(spec, policy, costs, n_cycles, sim, master_seed, cell_index)
+    return _renewal_reward(outcomes, costs)
 
 
 @dataclass(frozen=True)
@@ -477,7 +477,9 @@ def sensitivity_sweep(
     ``kind="parameters"``: axis1 is the shape rate, axis2 the scale axis
     (rate, or inverse-rate center under random effects); each cell re-runs
     the full grid search. ``kind="costs"``: axis1 is the corrective cost,
-    axis2 the preventive cost; the policy stays at ``fixed_policy``.
+    axis2 the preventive cost; the policy stays at ``fixed_policy``, and the
+    cycles of stream cell 0 are simulated once and re-priced for every pair,
+    since costs never enter a path.
     """
     rows: list[SweepRow] = []
     if kind == "parameters":
@@ -490,6 +492,7 @@ def sensitivity_sweep(
         if fixed_policy is None:
             raise ValidationError("cost sweep requires a fixed policy")
         fixed_policy.validate_against(spec)
+        outcomes = _simulate_cycles(spec, fixed_policy, costs, n_cycles, sim, master_seed, 0)
         for cc in axis1:
             for cp in axis2:
                 cell_costs = CostRates(
@@ -498,7 +501,7 @@ def sensitivity_sweep(
                     inspection=costs.inspection,
                     downtime_rate=costs.downtime_rate,
                 )
-                est = estimate_cost_rate(spec, fixed_policy, cell_costs, n_cycles, sim, master_seed, 0)
+                est = _renewal_reward(outcomes, cell_costs)
                 rows.append(
                     SweepRow(float(cc), float(cp), est.point, fixed_policy.inspection_period,
                              fixed_policy.preventive_threshold)

@@ -8,18 +8,25 @@ adaptive quadrature with explicit failure reporting.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 from scipy import special as sp
-from scipy.stats import gamma as _gamma_dist
 
 from .errors import NumericalError, ValidationError
 
 ArrayLike = Union[float, np.ndarray]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+@functools.lru_cache(maxsize=None)
+def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights of order ``n`` on ``[-1, 1]``."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,21 @@ def _check_shape_x(shape: ArrayLike, x: ArrayLike) -> None:
 
 
 def log_upper_incomplete_gamma(shape: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """log of the upper incomplete gamma integral, stable deep in the tail."""
+    """log of the upper incomplete gamma integral.
+
+    The log of the regularized ratio comes from ``gammaincc`` above the
+    median and from ``log1p(-gammainc)`` below it, where the ratio is near 1.
+    """
     _check_shape_x(shape, x)
-    # logsf keeps accuracy where the regularized ratio underflows.
-    return sp.gammaln(shape) + _gamma_dist.logsf(x, a=shape)
+    shape_a = np.asarray(shape, float)
+    x_a = np.asarray(x, float)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(
+            x_a > sp.gammaincinv(shape_a, 0.5),
+            np.log(sp.gammaincc(shape_a, x_a)),
+            np.log1p(-sp.gammainc(shape_a, x_a)),
+        )
+    return sp.gammaln(shape) + log_ratio
 
 
 def upper_incomplete_gamma(shape: ArrayLike, x: ArrayLike) -> ArrayLike:
@@ -157,30 +175,17 @@ def _log_gamma_diff_quad(shape: float, x1: float, x2: float) -> float:
     # integrand resolved when x2/x1 is large.
     n_panels = max(1, int(np.ceil(np.log(x2 / x1) / np.log(4.0))), int(np.ceil((x2 - x1) / (10.0 + abs(shape)))))
     edges = np.geomspace(x1, x2, n_panels + 1)
-    z = 0.5 * (edges[:-1, None] * (1 - _GL_NODES) + edges[1:, None] * (1 + _GL_NODES))
+    nodes, weights = leggauss(64)
+    z = 0.5 * (edges[:-1, None] * (1 - nodes) + edges[1:, None] * (1 + nodes))
     half_widths = 0.5 * (edges[1:] - edges[:-1])
     log_f = (shape - 1.0) * np.log(z) - z
     m = log_f.max()
-    total = np.sum(half_widths[:, None] * _GL_WEIGHTS * np.exp(log_f - m))
+    total = np.sum(half_widths[:, None] * weights * np.exp(log_f - m))
     if total <= 0.0:
         raise NumericalError(
             f"log_gamma_diff lost all precision on shape={shape}, [{x1}, {x2}]"
         )
     return float(m + np.log(total))
-
-
-def gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64
-) -> float:
-    """Fixed-order Gauss-Legendre rule; the workhorse for smooth inner integrals."""
-    if b <= a:
-        return 0.0
-    if n == 64:
-        nodes, weights = _GL_NODES, _GL_WEIGHTS
-    else:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-    x = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-    return float(0.5 * (b - a) * np.sum(weights * f(x)))
 
 
 def _adaptive_simpson(

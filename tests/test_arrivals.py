@@ -13,6 +13,7 @@ from shotgamma.arrivals import (
     simulate_arrival_batch,
     simulate_arrivals,
     simulate_shocks,
+    thin_history,
 )
 from shotgamma.errors import ValidationError
 from shotgamma.special import integrate
@@ -199,7 +200,30 @@ class TestBatchSampler:
         _, times = simulate_arrival_batch(BENCH_SCENARIO, 3.0, 500, rng)
         assert np.all((times >= 0) & (times <= 3.0))
 
-    def test_horizon_guard(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValidationError):
-            simulate_arrival_batch(ShotNoiseParams(1.0, 2.0, 1.0), 1e4, 10, rng)
+    def test_single_run_matches_single_history_sampler(self):
+        # one batch run draws the same stream as simulate_shocks followed by
+        # thin_history, so the rank-wise carries must reproduce the scalar
+        # recursion and give the same arrivals in the same order
+        for seed in range(5):
+            run_ids, times = simulate_arrival_batch(BENCH_SCENARIO, 30.0, 1, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            shocks = simulate_shocks(BENCH_SCENARIO, 30.0, rng)
+            want = thin_history(BENCH_SCENARIO, shocks.shock_times, 30.0, 0.0, rng)
+            assert np.all(run_ids == 0)
+            assert np.array_equal(times, want)
+
+    @pytest.mark.parametrize(
+        "params, horizon",
+        [(BENCH_SCENARIO, 20.0), (BENCH_SCENARIO, 60.0), (BENCH_SCENARIO, 100.0),
+         (ShotNoiseParams(1.0, 2.0, 50.0), 12.0)],
+    )
+    def test_counts_at_long_horizons(self, params, horizon):
+        # delta * horizon up to 600: the shock carries must not lose precision
+        # as exp(delta * t) grows
+        rng = np.random.default_rng(9)
+        n = 4000
+        run_ids, times = simulate_arrival_batch(params, horizon, n, rng)
+        for t in np.linspace(horizon / 10.0, horizon, 10):
+            counts = np.bincount(run_ids[times <= t], minlength=n)
+            se = counts.std(ddof=1) / np.sqrt(n)
+            assert abs(counts.mean() - expected_num_arrivals(params, t)) <= 4 * se

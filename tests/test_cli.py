@@ -85,6 +85,17 @@ class TestSimulateArrivals(object):
 
 
 class TestReliability:
+    def test_runs_without_costs(self, tmp_path):
+        cfg = tmp_path / "nocost.yaml"
+        cfg.write_text(SMALL_CONFIG.replace(
+            "costs: {preventive: 100.0, corrective: 200.0, inspection: 50.0, downtime_rate: 60.0}\n", ""
+        ).replace("n_trajectories: 4000", "n_trajectories: 500"))
+        out = tmp_path / "rel"
+        assert main(["reliability", "--config", str(cfg), "--out", str(out), "--deterministic"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert "costs" not in manifest["config"]
+        assert (out / "lifetime.csv").exists()
+
     def test_curve_and_overlay(self, small_config, tmp_path):
         out = tmp_path / "rel"
         rc = main(["reliability", "--config", small_config, "--out", str(out), "--deterministic"])
@@ -144,6 +155,14 @@ class TestFit:
 
 
 class TestOptimize:
+    def test_without_costs_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nocost.yaml"
+        cfg.write_text(SMALL_CONFIG.replace(
+            "costs: {preventive: 100.0, corrective: 200.0, inspection: 50.0, downtime_rate: 60.0}\n", ""
+        ))
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "opt")]) == 1
+        assert "costs" in capsys.readouterr().err
+
     def test_single_cell_passthrough(self, tmp_path):
         cfg = tmp_path / "one.yaml"
         cfg.write_text(SMALL_CONFIG.replace("T_grid: [4.0, 6.3333333]", "T_grid: [6.0]")

@@ -8,7 +8,6 @@ from shotgamma.degradation import (
     DeltaHittingLaw,
     DeterministicScale,
     GammaModel,
-    ScaleRealization,
     UniformInverseScale,
     delta_hitting_survival,
     fit_half_width,
@@ -20,8 +19,6 @@ from shotgamma.degradation import (
     random_effect_moments,
     random_effect_pdf,
     read_observations_csv,
-    realize_scale,
-    sample_increment,
     simulate_observation_paths,
     write_observations_csv,
 )
@@ -34,12 +31,14 @@ RE_MODEL = GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1)
 class TestScale:
     def test_deterministic_passthrough(self):
         model = GammaModel.deterministic(1.1, 1.4)
-        assert realize_scale(model, np.random.default_rng(0)).rate == 1.4
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert np.array_equal(model.draw_rates(rng, 3), np.full(3, 1.4))
+        assert rng.bit_generator.state == state
 
     def test_uniform_mean_and_support(self):
         model = GammaModel.uniform_inverse_scale(1.0, 0.7, 1.3)
-        rng = np.random.default_rng(1)
-        rates = np.array([realize_scale(model, rng).rate for _ in range(100_000)])
+        rates = model.draw_rates(np.random.default_rng(1), 100_000)
         inv = 1.0 / rates
         se = inv.std(ddof=1) / np.sqrt(inv.size)
         assert abs(inv.mean() - 1.0) <= 3 * se
@@ -52,30 +51,6 @@ class TestScale:
             DeterministicScale(0.0)
         with pytest.raises(ValidationError):
             GammaModel(0.0, DeterministicScale(1.0))
-
-
-class TestIncrements:
-    def test_mean(self):
-        rng = np.random.default_rng(2)
-        draws = sample_increment(ScaleRealization(1.4), 1.1, 1.0, rng, size=100_000)
-        se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - 1.1 / 1.4) <= 3 * se
-        assert np.all(draws >= 0)
-
-    def test_additivity_variance(self):
-        # variance of a sum of 10 sub-increments vs one increment of the
-        # full duration (sampling-variance tolerance on both estimates)
-        rng = np.random.default_rng(3)
-        n = 200_000
-        whole = sample_increment(ScaleRealization(1.4), 1.1, 1.0, rng, size=n)
-        parts = rng.gamma(1.1 * 0.1, 1 / 1.4, size=(n, 10)).sum(axis=1)
-        v1, v2 = whole.var(ddof=1), parts.var(ddof=1)
-        rel_se = np.sqrt(2.0 / (n - 1)) * 3
-        assert abs(v1 - v2) <= (v1 + v2) * rel_se
-
-    def test_dt_validation(self):
-        with pytest.raises(ValidationError):
-            sample_increment(ScaleRealization(1.0), 1.0, 0.0, np.random.default_rng(0))
 
 
 class TestHittingLaw:

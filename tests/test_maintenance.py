@@ -164,6 +164,25 @@ class TestSweep:
         # same seed, same cycles: corrective-cost increase cannot lower cost
         assert rows[2].cost_opt >= rows[0].cost_opt
 
+    def test_cost_sweep_rows_equal_direct_estimates(self):
+        # the sweep prices one set of cycles; each row must be the estimate
+        # that simulating at that row's costs gives
+        spec = SystemSpec(PARAMS, GammaModel.uniform_inverse_scale(1.1, 0.61, 0.81), 10.0)
+        policy = PolicyParams(1.5, 8.0)
+        axis1, axis2 = [150.0, 250.0, 400.0], [20.0, 80.0, 150.0]
+        rows = sensitivity_sweep(spec, COSTS, "costs", axis1, axis2, None, None, 60, SIM, 21,
+                                 fixed_policy=policy)
+        assert [(r.axis1, r.axis2) for r in rows] == [(a, b) for a in axis1 for b in axis2]
+        for row in rows:
+            cell_costs = CostRates(row.axis2, row.axis1, COSTS.inspection, COSTS.downtime_rate)
+            est = estimate_cost_rate(spec, policy, cell_costs, 60, SIM, 21, 0)
+            assert row.cost_opt == est.point
+
+    def test_cycle_cost_by_action(self):
+        assert COSTS.cycle_cost(CORRECTIVE, 3, 0.5) == 50.0 * 3 + 200.0 + 60.0 * 0.5
+        assert COSTS.cycle_cost(PREVENTIVE, 2, 0.0) == 50.0 * 2 + 100.0
+        assert COSTS.cycle_cost(CENSORED, 7, 0.0) == 50.0 * 7
+
     def test_cost_sweep_requires_policy(self):
         with pytest.raises(ValidationError):
             sensitivity_sweep(SPEC, COSTS, "costs", [190.0], [95.0], None, None, 10, SIM, 0)

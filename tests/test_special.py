@@ -10,7 +10,9 @@ from shotgamma.special import (
     gamma_cdf,
     gamma_pdf,
     integrate,
+    leggauss,
     log_gamma_diff,
+    log_upper_incomplete_gamma,
     regularized_lower_gamma,
     regularized_upper_gamma,
     upper_incomplete_gamma,
@@ -58,6 +60,25 @@ class TestUpperIncompleteGamma:
         xs = np.linspace(0.0, 30.0, 200)
         vals = upper_incomplete_gamma(3.7, xs)
         assert np.all(np.diff(vals) <= 0)
+
+
+def test_log_upper_incomplete_gamma_matches_scipy_stats():
+    from scipy.stats import gamma as gamma_dist
+
+    rng = np.random.default_rng(17)
+    shape = np.exp(rng.uniform(-4.0, 6.0, 5000))
+    x = np.concatenate([[0.0], shape[1:] * np.exp(rng.uniform(-6.0, 3.0, 4999))])
+    want = sp.gammaln(shape) + gamma_dist.logsf(x, a=shape)
+    assert np.array_equal(log_upper_incomplete_gamma(shape, x), want)
+    assert log_upper_incomplete_gamma(2.5, 0.7) == sp.gammaln(2.5) + gamma_dist.logsf(0.7, a=2.5)
+
+
+def test_leggauss_is_shared_and_read_only():
+    nodes, weights = leggauss(16)
+    assert leggauss(16)[0] is nodes
+    assert weights.sum() == pytest.approx(2.0, rel=1e-14)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
 
 
 class TestRegularized:
