@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Segment count up to which thin_segments draws its Poisson counts one by one.
+_SCALAR_DRAWS = 12
+
 
 @dataclass(frozen=True)
 class ShotNoiseParams:
@@ -156,16 +159,23 @@ def thin_segments(
     segment index and time of each accepted point, in proposal order.
     """
     bounds = params.lambda0 + carry
-    counts = rng.poisson(bounds * length)
-    total = int(counts.sum())
+    means = bounds * length
+    if means.size <= _SCALAR_DRAWS:
+        # one draw at a time skips the array path's argument checks; same stream
+        counts = [rng.poisson(m) for m in means.tolist()]
+        total = sum(counts)
+    else:
+        counts = rng.poisson(means)
+        total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=int), np.empty(0)
     seg = np.repeat(np.arange(left.size), counts)
     u = rng.uniform(size=2 * total)
-    proposals = left[seg] + u[:total] * length[seg]
-    lam = params.lambda0 + carry[seg] * np.exp(-params.delta * (proposals - left[seg]))
+    start = left[seg]
+    proposals = start + u[:total] * length[seg]
+    lam = params.lambda0 + carry[seg] * np.exp(-params.delta * (proposals - start))
     bound_at = bounds[seg]
-    if np.any(lam > bound_at * (1 + 1e-12)):
+    if np.count_nonzero(lam > bound_at * (1 + 1e-12)):
         raise AssertionError("thinning dominating bound violated")
     keep = u[total:] * bound_at <= lam
     return seg[keep], proposals[keep]
@@ -186,14 +196,16 @@ def thin_history(
     of shocks before it.
     """
     delta = params.delta
-    edges = np.concatenate(([0.0], shock_times, [stop]))
-    e = edges.tolist()  # the scalar loop runs faster on Python floats
+    shocks = shock_times.tolist()  # the scalar loop runs faster on Python floats
     seg_carry = [carry]
-    for j in range(1, len(e) - 1):
-        c = seg_carry[-1] * math.exp(-delta * (e[j] - e[j - 1])) + 1.0
+    c, prev = carry, 0.0
+    for j, t in enumerate(shocks, 1):
+        c = c * math.exp(-delta * (t - prev)) + 1.0
         if c > (carry + j) * (1 + 1e-12):
             raise AssertionError("thinning dominating bound violated")
         seg_carry.append(c)
+        prev = t
+    edges = np.array([0.0, *shocks, stop])
     return thin_segments(params, edges[:-1], edges[1:] - edges[:-1], np.array(seg_carry), rng)[1]
 
 

@@ -190,12 +190,13 @@ def simulate_cycle(
         sh = np.sort(rng.uniform(0.0, T, size=n_sh)) if n_sh else np.empty(0)
         # thinned arrivals, unsorted: their order fixes the order of the gamma draws
         new_rel = thin_history(arr, sh, T, carry, rng)
-        carry = carry * math.exp(-arr.delta * T) + float(np.sum(np.exp(-arr.delta * (T - sh))))
+        carry = carry * math.exp(-arr.delta * T) + float(np.exp(-arr.delta * (T - sh)).sum())
 
-        # grow existing paths across the window
+        # grow existing paths across the window; standard_gamma gives the
+        # same draws as gamma(shape, 1.0) and skips the scale argument
         n_old = levels.size
         if n_old:
-            inc = rng.gamma(alpha * h, size=(n_old, substeps)) / rates[:, None]
+            inc = rng.standard_gamma(alpha * h, size=(n_old, substeps)) / rates[:, None]
             grid_old = levels[:, None] + np.cumsum(inc, axis=1)
         else:
             grid_old = np.empty((0, substeps))
@@ -203,10 +204,10 @@ def simulate_cycle(
         n_new = new_rel.size
         if n_new:
             new_rates = growth.draw_rates(rng, n_new)
-            dts = np.clip(grid_rel[None, :] - new_rel[:, None], 0.0, h)
-            inc = rng.gamma(alpha * dts) / new_rates[:, None]
+            dts = np.minimum(np.maximum(grid_rel[None, :] - new_rel[:, None], 0.0), h)
+            inc = rng.standard_gamma(alpha * dts) / new_rates[:, None]
             grid_new = np.cumsum(inc, axis=1)
-            grid = np.vstack([grid_old, grid_new]) if n_old else grid_new
+            grid = np.concatenate((grid_old, grid_new)) if n_old else grid_new
             rates = np.concatenate([rates, new_rates])
             births = np.concatenate([births, t0 + new_rel])
         else:
@@ -215,15 +216,17 @@ def simulate_cycle(
         n_proc = grid.shape[0]
         if n_proc:
             end_levels = grid[:, -1]
+            top = end_levels.max()
             inspections = k + 1
-            if end_levels.max() >= L:
-                crossed = grid >= L
-                first_col = np.where(crossed.any(axis=1), crossed.argmax(axis=1), substeps)
+            if top >= L:
+                # paths never decrease, so only rows ending at or above L cross
+                rows = np.flatnonzero(end_levels >= L)
+                first_col = (grid[rows] >= L).argmax(axis=1)
                 col_min = int(first_col.min())
                 cross_time = t0 + grid_rel[col_min]
                 if sim.crossing_refinement:
                     refined = math.inf
-                    for i in np.flatnonzero(first_col == col_min):
+                    for i in rows[first_col == col_min]:
                         v_lo = grid[i, col_min - 1] if col_min else (levels[i] if i < n_old else 0.0)
                         # A process born inside the crossing step bridges
                         # from its arrival (level 0), not the step start.
@@ -237,7 +240,7 @@ def simulate_cycle(
                         )
                     cross_time = refined
                 return _outcome(costs, T, inspections, CORRECTIVE, inspections * T - cross_time)
-            if end_levels.max() >= M:
+            if top >= M:
                 return _outcome(costs, T, inspections, PREVENTIVE, 0.0)
             levels = end_levels
         else:
