@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
-from scipy.interpolate import PchipInterpolator
 
 from .degradation import DeterministicScale, delta_hitting_survival
 from .errors import NumericalError, ValidationError
@@ -170,6 +169,8 @@ class PolicyAnalytics:
         # Unconditional gap survival from M to L, and the decayed convolution
         # of the M-hitting density with the shock kernel.
         if self._gap is None:
+            from scipy.interpolate import PchipInterpolator  # lazy, as in lifetime
+
             spec, M = self.spec, self.policy.preventive_threshold
             horizon = (self.k_max + 1) * self.policy.inspection_period
             ts = np.linspace(0.0, horizon, int(np.clip(horizon / 0.01, 2048, 20000)))

@@ -229,47 +229,97 @@ def simulate_arrivals(
     return ArrivalTrajectory(horizon=horizon, arrival_times=times)
 
 
+def sort_within_runs(runs: np.ndarray, times: np.ndarray, horizon: float) -> np.ndarray:
+    """``times`` ordered by run, then by time: exactly ``times[np.lexsort((times, runs))]``.
+
+    ``times`` lie in ``[0, horizon]``. One sort of the offset key
+    ``run*(horizon+1) + time`` orders them; rounding of the key can merge
+    close times out of order, so the gathered runs and times are checked to
+    rise, and ``lexsort`` takes over when they do not.
+    """
+    order = np.argsort(runs * (horizon + 1.0) + times)
+    sorted_runs = runs[order]
+    out = times[order]
+    run_step = sorted_runs[1:] - sorted_runs[:-1]
+    if (run_step < 0).any() or ((run_step == 0) & (out[1:] < out[:-1])).any():
+        out = times[np.lexsort((times, runs))]
+    return out
+
+
+def simulate_carried_batch(
+    params: ShotNoiseParams,
+    horizon: float,
+    carry: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrivals on ``(0, horizon]`` of ``carry.size`` independent runs in one flat pass.
+
+    Run ``i`` opens with the summed contribution ``carry[i]`` of earlier
+    shocks. Returns ``(run_ids, times, end_carry)``: times unsorted within a
+    run, and each run's summed shock contribution at ``horizon``, which
+    opens its next stretch. The carries follow the recursion of
+    :func:`thin_history`, advanced by shock rank for all runs at once, under
+    the same bound, and every run's segments go through one
+    :func:`thin_segments` call.
+    """
+    if horizon <= 0:
+        raise ValidationError("horizon must be positive")
+    n_runs = carry.size
+    delta = params.delta
+    n_sh = rng.poisson(params.mu * horizon, size=n_runs)
+    total_sh = int(n_sh.sum())
+    sh_run = np.repeat(np.arange(n_runs), n_sh)
+    sh_t = sort_within_runs(sh_run, rng.uniform(0.0, horizon, size=total_sh), horizon)
+    # Carry just after each shock: c_j = c_{j-1} * exp(-delta * gap) + 1,
+    # with c_0 the run's opening carry and the first gap measured from 0.
+    first_at = n_sh.cumsum() - n_sh
+    has_sh = n_sh > 0
+    sh_carry = np.ones(total_sh)
+    opening = first_at[has_sh]
+    sh_carry[opening] += carry[has_sh] * np.exp(-delta * sh_t[opening])
+    decay = np.exp(-delta * (sh_t[1:] - sh_t[:-1]))
+    # Runs sorted by shock count, so those with more than r shocks, n_over[r]
+    # of them, form a prefix; first holds each run's first shock position.
+    by_count = np.argsort(-n_sh, kind="stable")
+    first = first_at[by_count]
+    n_over = np.searchsorted(-n_sh[by_count], -np.arange(int(n_sh.max(initial=0))), side="left")
+    for rank in range(1, n_over.size):
+        idx = first[: n_over[rank]] + rank
+        sh_carry[idx] += sh_carry[idx - 1] * decay[idx - 1]
+    # c_j <= c_0 + j, the dominating bound of every segment of the run
+    rank_of = np.arange(total_sh) - first_at[sh_run]
+    if np.count_nonzero(sh_carry > (carry[sh_run] + rank_of + 1) * (1 + 1e-12)):
+        raise AssertionError("thinning dominating bound violated")
+    # One segment per (run, inter-shock gap): N_i + 1 segments per run, the
+    # first opening at 0 with the run's carry, the last ending at the horizon.
+    run_first = first_at + np.arange(n_runs)
+    at_shock = np.arange(total_sh) + sh_run + 1
+    left = np.zeros(total_sh + n_runs)
+    left[at_shock] = sh_t
+    right = np.full(total_sh + n_runs, float(horizon))
+    right[at_shock - 1] = sh_t
+    seg_carry = np.zeros(total_sh + n_runs)
+    seg_carry[run_first] = carry
+    seg_carry[at_shock] = sh_carry
+    seg, times = thin_segments(params, left, right - left, seg_carry, rng)
+    last = run_first + n_sh
+    end_carry = seg_carry[last] * np.exp(-delta * (horizon - left[last]))
+    return np.repeat(np.arange(n_runs), n_sh + 1)[seg], times, end_carry
+
+
 def simulate_arrival_batch(
     params: ShotNoiseParams,
     horizon: float,
     n_runs: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival times for many independent trajectories in one flat pass.
+    """Arrival times for many independent trajectories from time 0.
 
-    Returns ``(run_ids, times)`` with times unsorted within a run. The
-    shock carries follow the recursion of :func:`thin_history`, advanced
-    by shock rank for all runs at once, and every run's segments go through
-    one :func:`thin_segments` call.
+    Returns ``(run_ids, times)`` with times unsorted within a run: the runs
+    of :func:`simulate_carried_batch` opened with no earlier shocks.
     """
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
-    n_sh = rng.poisson(params.mu * horizon, size=n_runs)
-    total_sh = int(n_sh.sum())
-    sh_run = np.repeat(np.arange(n_runs), n_sh)
-    sh_t = rng.uniform(0.0, horizon, size=total_sh)
-    sh_t = sh_t[np.lexsort((sh_t, sh_run))]
-    # Carry just after each shock: c_j = c_{j-1} * exp(-delta * gap) + 1.
-    sh_carry = np.ones(total_sh)
-    decay = np.exp(-params.delta * np.diff(sh_t))
-    # Runs sorted by shock count, so those with more than r shocks, n_over[r]
-    # of them, form a prefix; first holds each run's first shock position.
-    by_count = np.argsort(-n_sh, kind="stable")
-    first = (np.cumsum(n_sh) - n_sh)[by_count]
-    n_over = np.searchsorted(-n_sh[by_count], -np.arange(int(n_sh.max(initial=0))), side="left")
-    for rank in range(1, n_over.size):
-        idx = first[: n_over[rank]] + rank
-        sh_carry[idx] += sh_carry[idx - 1] * decay[idx - 1]
-    # One segment per (run, inter-shock gap): N_i + 1 segments per run.
-    at_shock = np.arange(total_sh) + sh_run + 1
-    left = np.zeros(total_sh + n_runs)
-    left[at_shock] = sh_t
-    right = np.full(total_sh + n_runs, float(horizon))
-    right[at_shock - 1] = sh_t
-    carry = np.zeros(total_sh + n_runs)
-    carry[at_shock] = sh_carry
-    seg, times = thin_segments(params, left, right - left, carry, rng)
-    return np.repeat(np.arange(n_runs), n_sh + 1)[seg], times
+    run_ids, times, _ = simulate_carried_batch(params, horizon, np.zeros(n_runs), rng)
+    return run_ids, times
 
 
 def write_trajectory_csv(path, times: np.ndarray) -> None:

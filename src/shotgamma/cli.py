@@ -29,7 +29,7 @@ from .degradation import (
 )
 from .errors import NumericalError, ValidationError
 from .lifetime import first_passage_law, hazard_limit, simulate_first_passage_batch
-from .maintenance import grid_search, sensitivity_sweep, write_surface_csv, write_sweep_csv
+from .maintenance import SimCounts, grid_search, sensitivity_sweep, write_surface_csv, write_sweep_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -162,7 +162,7 @@ def cmd_optimize(config: ExperimentConfig, args, outdir: Path) -> int:
     )
     _write_manifest(
         outdir, "optimize", config, args,
-        {"t_opt": result.t_opt, "m_opt": result.m_opt, "cost": result.cost},
+        {"t_opt": result.t_opt, "m_opt": result.m_opt, "cost": result.cost, **result.counts.as_dict()},
     )
     return EXIT_OK
 
@@ -192,7 +192,9 @@ def cmd_sensitivity(config: ExperimentConfig, args, outdir: Path) -> int:
         )
     write_sweep_csv(outdir / "sensitivity.csv", rows)
     print(f"sensitivity sweep ({kind}): {len(rows)} cells written")
-    _write_manifest(outdir, "sensitivity", config, args, {"kind": kind, "cells": len(rows)})
+    simulated = sum((r.simulated for r in rows), SimCounts())
+    _write_manifest(outdir, "sensitivity", config, args,
+                    {"kind": kind, "cells": len(rows), **simulated.as_dict()})
     return EXIT_OK
 
 

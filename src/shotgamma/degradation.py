@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import special as sp
-from scipy.interpolate import PchipInterpolator
 
 from .errors import NumericalError, ValidationError
 from .special import gamma_pdf, leggauss, log_gamma_diff
@@ -248,6 +247,8 @@ class DeltaHittingLaw:
         self._y_weights = np.concatenate(weights)
         self._y_tail = self._overshoot_tail(self._y_nodes) / norm
         self._tail_at_upper = float(self._overshoot_tail(np.array([upper]))[0] / norm)
+        from scipy.interpolate import PchipInterpolator  # lazy, as in lifetime
+
         y_interp = np.unique(np.concatenate([self._y_nodes, [lower, upper]]))
         self._tail_interp = PchipInterpolator(
             y_interp, self._overshoot_tail(y_interp) / norm

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
-from scipy.interpolate import PchipInterpolator
 
 from .arrivals import ShotNoiseParams, expected_intensity, simulate_arrival_batch
 from .degradation import (
@@ -97,6 +96,9 @@ class FirstPassageLaw:
         t_max: float,
         n_grid: int | None = None,
     ):
+        # imported on first use: scipy.interpolate adds about 26 MB to a process
+        from scipy.interpolate import PchipInterpolator
+
         if t_max <= 0:
             raise ValidationError("t_max must be positive")
         self.arrivals = arrivals

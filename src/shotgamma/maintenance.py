@@ -3,7 +3,8 @@
 A renewal cycle runs until the first inspection that finds a process at or
 beyond the failure threshold (corrective replacement, downtime billed since
 the unnoticed crossing) or beyond the preventive threshold (preventive
-replacement). The cost-rate estimator is the renewal-reward ratio of sums
+replacement). One block engine advances a cell's cycles together, window
+by window. The cost-rate estimator is the renewal-reward ratio of sums
 over simulated cycles; the grid search evaluates it over a Cartesian
 policy grid with counter-derived random streams so results are identical
 at any thread count.
@@ -18,7 +19,7 @@ from warnings import warn
 
 import numpy as np
 
-from .arrivals import thin_history
+from .arrivals import simulate_carried_batch
 from .degradation import DeterministicScale, GammaModel, UniformInverseScale
 from .errors import NumericalError, ValidationError
 from .lifetime import SystemSpec
@@ -26,6 +27,15 @@ from .lifetime import SystemSpec
 PREVENTIVE = "preventive"
 CORRECTIVE = "corrective"
 CENSORED = "censored"
+# Action codes of the engine's outcome arrays index this tuple.
+ACTIONS = (PREVENTIVE, CORRECTIVE, CENSORED)
+_PREVENTIVE, _CORRECTIVE, _CENSORED = range(3)
+
+# Cycles per block of a cell. A constant, so block b always holds cycles
+# b*BLOCK_SIZE onward, whatever the worker count.
+BLOCK_SIZE = 1024
+# Third word of a block stream key (cycle keys have two words).
+_BLOCK_KEY = 0
 
 
 @dataclass(frozen=True)
@@ -67,9 +77,13 @@ class CostRates:
         if self.corrective < self.preventive:
             warn("corrective cost below preventive cost; check the configuration")
 
-    def cycle_cost(self, action: str, inspections: int, downtime: float) -> float:
-        """Cost of one cycle: its inspections, the replacement its action calls for, downtime."""
-        replacement = {CORRECTIVE: self.corrective, PREVENTIVE: self.preventive}.get(action, 0.0)
+    def cycle_cost(self, action, inspections, downtime):
+        """Cost of cycles: their inspections, the replacement each action calls for, downtime.
+
+        ``action`` is an action name or an array of codes into :data:`ACTIONS`.
+        """
+        code = ACTIONS.index(action) if isinstance(action, str) else action
+        replacement = np.array([self.preventive, self.corrective, 0.0])[code]
         return self.inspection * inspections + replacement + self.downtime_rate * downtime
 
 
@@ -77,12 +91,14 @@ class CostRates:
 class SimControl:
     """Resolution and guard rails of the cycle simulator.
 
-    ``substeps`` fixes the fine path grid at ``T / substeps``; levels at
-    inspections are exact at any resolution (gamma increments are exact on
-    any partition) while the failure-crossing time is localized to one fine
-    step, biasing downtime low by at most ``T / substeps``.
-    ``crossing_refinement`` adds that many bridge-bisection levels inside
-    the crossing step, shrinking the bias by ``2**levels``.
+    Levels at inspections are exact (one gamma increment per window). Only
+    a path that ends a window at or above the failure threshold gets a fine
+    grid of step ``T / substeps``, bridged between its window endpoints, and
+    its crossing time is localized to one fine step, biasing downtime low by
+    at most ``T / substeps``. ``crossing_refinement`` adds that many
+    bridge-bisection levels inside the crossing step, shrinking the bias by
+    ``2**levels``. A cycle still running after ``max_inspections`` windows
+    is censored.
     """
 
     substeps: int = 16
@@ -116,40 +132,191 @@ class CostRateEstimate:
     corrective_fraction: float
     censored_fraction: float
     mean_cycle_length: float
+    n_windows: int
+
+
+@dataclass(frozen=True)
+class SimCounts:
+    """Work of a simulation: cycles, inspection windows and censored cycles."""
+
+    cycles: int = 0
+    windows: int = 0
+    censored: int = 0
+
+    def __add__(self, other: SimCounts) -> SimCounts:
+        return SimCounts(self.cycles + other.cycles, self.windows + other.windows,
+                         self.censored + other.censored)
+
+    def as_dict(self) -> dict:
+        return {"cycles": self.cycles, "windows": self.windows, "censored_cycles": self.censored}
 
 
 def cycle_rng(master_seed: int, cell_index: int, cycle_index: int) -> np.random.Generator:
-    """Counter-derived stream: a pure function of (seed, cell, cycle)."""
+    """Counter-derived stream of one cycle: a pure function of (seed, cell, cycle)."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(cell_index, cycle_index))
     )
 
 
-def _refine_crossing(
-    rng: np.random.Generator,
-    shape_rate: float,
-    t_lo: float,
-    t_hi: float,
-    v_lo: float,
-    v_hi: float,
-    threshold: float,
-    levels: int,
-) -> float:
-    """Bridge-bisect the crossing time inside one fine step.
+def block_rng(master_seed: int, cell_index: int, block_index: int) -> np.random.Generator:
+    """Stream of one block of a cell's cycles: a pure function of (seed, cell, block).
 
-    Conditional on the endpoint levels, the mid-step level splits by a
-    symmetric Beta draw (scale-free), so the localization is exact in
-    distribution at every level of refinement.
+    The key has three words, so it never equals a two-word :func:`cycle_rng` key.
     """
-    for _ in range(levels):
-        t_mid = 0.5 * (t_lo + t_hi)
-        frac = rng.beta(shape_rate * (t_mid - t_lo), shape_rate * (t_hi - t_mid))
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(cell_index, block_index, _BLOCK_KEY))
+    )
+
+
+@dataclass(frozen=True)
+class CycleOutcomes:
+    """Outcomes of a cell's cycles as arrays: inspections, action codes, downtime.
+
+    ``action`` holds indices into :data:`ACTIONS`.
+    """
+
+    policy: PolicyParams
+    max_inspections: int
+    inspections: np.ndarray
+    action: np.ndarray
+    downtime: np.ndarray
+
+    @property
+    def length(self) -> np.ndarray:
+        return self.inspections * self.policy.inspection_period
+
+    @property
+    def counts(self) -> SimCounts:
+        return SimCounts(
+            self.inspections.size,
+            int(self.inspections.sum()),
+            int(np.count_nonzero(self.action == _CENSORED)),
+        )
+
+
+def _crossing_times(
+    rng: np.random.Generator,
+    alpha: float,
+    T: float,
+    sim: SimControl,
+    L: float,
+    v0: np.ndarray,
+    v1: np.ndarray,
+    born: np.ndarray,
+) -> np.ndarray:
+    """Times inside the window at which rows going from ``v0`` to ``v1 >= L`` cross L.
+
+    Rows start at ``born`` (0 for a process alive at the window start). The
+    fine grid ``T/substeps`` exists only here, as a gamma bridge between
+    the endpoint levels: given their sum, independent ``Gamma(alpha*dt_j)``
+    increments are Dirichlet, so normalised parts reproduce the fine path.
+    A crossing is dated at the first grid point at or above L, then
+    ``crossing_refinement`` Beta bisections localise it inside that step.
+    Returns each row's crossing time; a cycle fails at the earliest of its
+    rows' times, which the caller takes.
+    """
+    h = T / sim.substeps
+    grid = h * np.arange(1, sim.substeps + 1)
+    # built in place: the (rows, substeps) arrays dominate the engine's memory
+    path = rng.standard_gamma(alpha * np.clip(grid - born[:, None], 0.0, h))
+    np.cumsum(path, axis=1, out=path)
+    total = path[:, -1:].copy()
+    path /= np.where(total > 0.0, total, 1.0)
+    path *= (v1 - v0)[:, None]
+    path += v0[:, None]
+    path[:, -1] = v1
+    col = (path >= L).argmax(axis=1)
+    rows = np.arange(v0.size)
+    t_hi = grid[col]
+    if not sim.crossing_refinement:
+        return t_hi
+    v_hi = path[rows, col]
+    v_lo = np.where(col > 0, path[rows, col - 1], v0)
+    # a process born inside the crossing step bridges from its arrival (level 0)
+    t_lo = np.maximum(t_hi - h, born)
+    # Bisection j halves the step, so its mid-level splits by a symmetric
+    # Beta(alpha*s, alpha*s) draw, s = width/2**j: all drawn at once.
+    steps = np.outer(0.5 ** np.arange(1, sim.crossing_refinement + 1), t_hi - t_lo)
+    for frac, step in zip(rng.beta(alpha * steps, alpha * steps), steps):
         v_mid = v_lo + (v_hi - v_lo) * frac
-        if v_mid >= threshold:
-            t_hi, v_hi = t_mid, v_mid
-        else:
-            t_lo, v_lo = t_mid, v_mid
-    return t_hi
+        up = v_mid >= L
+        v_hi = np.where(up, v_mid, v_hi)
+        v_lo = np.where(up, v_lo, v_mid)
+        t_lo = np.where(up, t_lo, t_lo + step)
+    return t_lo + step
+
+
+def _simulate_block(
+    spec: SystemSpec,
+    policy: PolicyParams,
+    sim: SimControl,
+    n: int,
+    rng: np.random.Generator,
+) -> CycleOutcomes:
+    """Simulate ``n`` renewal cycles together, one inspection window per step.
+
+    The live cycles and their processes are flat arrays: each cycle's shock
+    carry, and each process's cycle, level and rate. A step draws the shocks
+    and thinned arrivals of every live cycle in one batch, one exact gamma
+    increment per process over the window, takes each cycle's top level and
+    decides them all at once; only the rows that end at or above L get a
+    fine path (:func:`_crossing_times`). Finished cycles leave the arrays.
+    Cycles that never trigger are censored at the inspection cap.
+    """
+    policy.validate_against(spec)
+    T = policy.inspection_period
+    M = policy.preventive_threshold
+    L = spec.failure_threshold
+    arrivals = spec.arrivals
+    growth = spec.growth
+    alpha = growth.shape_rate
+    inspections = np.full(n, sim.max_inspections)
+    action = np.full(n, _CENSORED, dtype=np.int8)
+    downtime = np.zeros(n)
+    live = np.arange(n)  # block index of each live cycle
+    carry = np.zeros(n)  # its summed shock contribution at the window start
+    cyc = np.empty(0, dtype=np.intp)  # live position of each process
+    level = np.empty(0)
+    rate = np.empty(0)
+
+    for k in range(sim.max_inspections):
+        new_cyc, born, carry = simulate_carried_batch(arrivals, T, carry, rng)
+        n_old = level.size
+        start = level
+        level = level + rng.standard_gamma(alpha * T, size=n_old) / rate
+        if born.size:
+            new_rate = growth.draw_rates(rng, born.size)
+            cyc = np.concatenate((cyc, new_cyc))
+            level = np.concatenate((level, rng.standard_gamma(alpha * (T - born)) / new_rate))
+            rate = np.concatenate((rate, new_rate))
+        top = np.zeros(live.size)
+        np.maximum.at(top, cyc, level)
+        done = top >= M
+        if not done.any():
+            continue
+        failed = top >= L
+        if failed.any():
+            # paths never decrease, so only rows ending at or above L cross
+            rows = np.flatnonzero(level >= L)
+            v0 = np.concatenate((start, np.zeros(born.size)))[rows]
+            b = np.concatenate((np.zeros(n_old), born))[rows]
+            cross = np.full(live.size, np.inf)
+            np.minimum.at(cross, cyc[rows], _crossing_times(rng, alpha, T, sim, L, v0, level[rows], b))
+            downtime[live[failed]] = T - cross[failed]
+        finished = live[done]
+        inspections[finished] = k + 1
+        action[finished] = np.where(failed[done], _CORRECTIVE, _PREVENTIVE)
+        keep = ~done
+        if not keep.any():
+            break
+        stay = keep[cyc]
+        cyc = (np.cumsum(keep) - 1)[cyc[stay]]
+        level = level[stay]
+        rate = rate[stay]
+        live = live[keep]
+        carry = carry[keep]
+
+    return CycleOutcomes(policy, sim.max_inspections, inspections, action, downtime)
 
 
 def simulate_cycle(
@@ -159,172 +326,83 @@ def simulate_cycle(
     sim: SimControl,
     rng: np.random.Generator,
 ) -> CycleOutcome:
-    """Simulate one renewal cycle window by window.
+    """Simulate one renewal cycle: the block engine with a block of one.
 
-    Within each inspection window: shocks, thinned arrivals conditional on
-    the full shock history (carried as a decayed sum), exact gamma
-    increments for every active process on the fine grid, then the
-    inspection decision. Cycles that never trigger are censored at the
-    inspection cap and surfaced as such, never dropped.
+    A cycle still running at the inspection cap comes back censored.
     """
-    policy.validate_against(spec)
-    T = policy.inspection_period
-    M = policy.preventive_threshold
-    L = spec.failure_threshold
-    arr = spec.arrivals
-    growth = spec.growth
-    alpha = growth.shape_rate
-    substeps = sim.substeps
-    h = T / substeps
-    grid_rel = h * np.arange(1, substeps + 1)
-
-    levels = np.empty(0)
-    rates = np.empty(0)
-    births = np.empty(0)
-    carry = 0.0
-
-    for k in range(sim.max_inspections):
-        t0 = k * T
-        # shocks inside this window
-        n_sh = rng.poisson(arr.mu * T)
-        sh = np.sort(rng.uniform(0.0, T, size=n_sh)) if n_sh else np.empty(0)
-        # thinned arrivals, unsorted: their order fixes the order of the gamma draws
-        new_rel = thin_history(arr, sh, T, carry, rng)
-        carry = carry * math.exp(-arr.delta * T) + float(np.exp(-arr.delta * (T - sh)).sum())
-
-        # grow existing paths across the window; standard_gamma gives the
-        # same draws as gamma(shape, 1.0) and skips the scale argument
-        n_old = levels.size
-        if n_old:
-            inc = rng.standard_gamma(alpha * h, size=(n_old, substeps)) / rates[:, None]
-            grid_old = levels[:, None] + np.cumsum(inc, axis=1)
-        else:
-            grid_old = np.empty((0, substeps))
-        # spawn paths for this window's arrivals
-        n_new = new_rel.size
-        if n_new:
-            new_rates = growth.draw_rates(rng, n_new)
-            dts = np.minimum(np.maximum(grid_rel[None, :] - new_rel[:, None], 0.0), h)
-            inc = rng.standard_gamma(alpha * dts) / new_rates[:, None]
-            grid_new = np.cumsum(inc, axis=1)
-            grid = np.concatenate((grid_old, grid_new)) if n_old else grid_new
-            rates = np.concatenate([rates, new_rates])
-            births = np.concatenate([births, t0 + new_rel])
-        else:
-            grid = grid_old
-
-        n_proc = grid.shape[0]
-        if n_proc:
-            end_levels = grid[:, -1]
-            top = end_levels.max()
-            inspections = k + 1
-            if top >= L:
-                # paths never decrease, so only rows ending at or above L cross
-                rows = np.flatnonzero(end_levels >= L)
-                first_col = (grid[rows] >= L).argmax(axis=1)
-                col_min = int(first_col.min())
-                cross_time = t0 + grid_rel[col_min]
-                if sim.crossing_refinement:
-                    refined = math.inf
-                    for i in rows[first_col == col_min]:
-                        v_lo = grid[i, col_min - 1] if col_min else (levels[i] if i < n_old else 0.0)
-                        # A process born inside the crossing step bridges
-                        # from its arrival (level 0), not the step start.
-                        t_lo = max(cross_time - h, births[i])
-                        refined = min(
-                            refined,
-                            _refine_crossing(
-                                rng, alpha, t_lo, cross_time,
-                                v_lo, grid[i, col_min], L, sim.crossing_refinement,
-                            ),
-                        )
-                    cross_time = refined
-                return _outcome(costs, T, inspections, CORRECTIVE, inspections * T - cross_time)
-            if top >= M:
-                return _outcome(costs, T, inspections, PREVENTIVE, 0.0)
-            levels = end_levels
-        else:
-            levels = np.empty(0)
-
-    return _outcome(costs, T, sim.max_inspections, CENSORED, 0.0)
-
-
-def _outcome(costs: CostRates, T: float, inspections: int, action: str, downtime: float) -> CycleOutcome:
+    out = _simulate_block(spec, policy, sim, 1, rng)
+    action = ACTIONS[out.action[0]]
+    inspections = int(out.inspections[0])
+    downtime = float(out.downtime[0])
     return CycleOutcome(
-        length=inspections * T,
+        length=inspections * policy.inspection_period,
         inspections=inspections,
         action=action,
         downtime=downtime,
-        cycle_cost=costs.cycle_cost(action, inspections, downtime),
+        cycle_cost=float(costs.cycle_cost(action, inspections, downtime)),
     )
 
 
-def _simulate_cycles(
+def _simulate_cell(
     spec: SystemSpec,
     policy: PolicyParams,
-    costs: CostRates,
     n_cycles: int,
     sim: SimControl,
     master_seed: int,
     cell_index: int,
-) -> list[CycleOutcome]:
+) -> CycleOutcomes:
+    """A cell's cycles in blocks of :data:`BLOCK_SIZE`, each on its own stream."""
     if n_cycles < 1:
         raise ValidationError("n_cycles must be at least 1")
-    return [
-        simulate_cycle(spec, policy, costs, sim, cycle_rng(master_seed, cell_index, i))
-        for i in range(n_cycles)
+    blocks = [
+        _simulate_block(spec, policy, sim, min(BLOCK_SIZE, n_cycles - start),
+                        block_rng(master_seed, cell_index, b))
+        for b, start in enumerate(range(0, n_cycles, BLOCK_SIZE))
     ]
+    return CycleOutcomes(
+        policy,
+        sim.max_inspections,
+        np.concatenate([o.inspections for o in blocks]),
+        np.concatenate([o.action for o in blocks]),
+        np.concatenate([o.downtime for o in blocks]),
+    )
 
 
-def _renewal_reward(outcomes: list[CycleOutcome], costs: CostRates) -> CostRateEstimate:
-    """Ratio of summed cycle costs to summed lengths over the uncensored cycles.
+def _renewal_reward(outcomes: CycleOutcomes, costs: CostRates) -> CostRateEstimate:
+    """Ratio of summed cycle costs to summed lengths, with its delta-method SE.
 
     Each cycle is priced at ``costs``, whatever costs it was simulated with.
+    A censored cycle has no replacement to price, and dropping it would bias
+    the ratio toward short cycles, so any censored cycle raises.
     """
-    n_cycles = len(outcomes)
-    cost_sum = 0.0
-    len_sum = 0.0
-    cost_sq = 0.0
-    len_sq = 0.0
-    cross = 0.0
-    n_prev = n_corr = n_cens = 0
-    for out in outcomes:
-        if out.action == CENSORED:
-            n_cens += 1
-            continue
-        if out.action == PREVENTIVE:
-            n_prev += 1
-        else:
-            n_corr += 1
-        cost = costs.cycle_cost(out.action, out.inspections, out.downtime)
-        cost_sum += cost
-        len_sum += out.length
-        cost_sq += cost**2
-        len_sq += out.length**2
-        cross += cost * out.length
-    n_done = n_prev + n_corr
-    if n_done == 0:
-        raise NumericalError("all simulated cycles were censored at the inspection cap")
-    mean_c = cost_sum / n_done
-    mean_l = len_sum / n_done
-    ratio = mean_c / mean_l
-    if n_done > 1:
-        var_c = (cost_sq - n_done * mean_c**2) / (n_done - 1)
-        var_l = (len_sq - n_done * mean_l**2) / (n_done - 1)
-        cov = (cross - n_done * mean_c * mean_l) / (n_done - 1)
-        se = math.sqrt(
-            max(var_c - 2 * ratio * cov + ratio**2 * var_l, 0.0) / n_done
-        ) / mean_l
+    counts = outcomes.counts
+    policy = outcomes.policy
+    if counts.censored:
+        raise NumericalError(
+            f"{counts.censored} of {counts.cycles} cycles censored at max_inspections="
+            f"{outcomes.max_inspections} (T={policy.inspection_period:g}, "
+            f"M={policy.preventive_threshold:g}); raise the cap"
+        )
+    n = counts.cycles
+    lengths = outcomes.length
+    cost = costs.cycle_cost(outcomes.action, outcomes.inspections, outcomes.downtime)
+    mean_l = lengths.mean()
+    ratio = cost.mean() / mean_l
+    if n > 1:
+        resid = cost - ratio * lengths
+        se = math.sqrt(float(np.dot(resid, resid)) / (n - 1) / n) / mean_l
     else:
         se = math.inf
+    n_corr = int(np.count_nonzero(outcomes.action == _CORRECTIVE))
     return CostRateEstimate(
-        point=ratio,
+        point=float(ratio),
         std_error=se,
-        n_cycles=n_cycles,
-        preventive_fraction=n_prev / n_cycles,
-        corrective_fraction=n_corr / n_cycles,
-        censored_fraction=n_cens / n_cycles,
-        mean_cycle_length=mean_l,
+        n_cycles=n,
+        preventive_fraction=(n - n_corr) / n,
+        corrective_fraction=n_corr / n,
+        censored_fraction=0.0,
+        mean_cycle_length=float(mean_l),
+        n_windows=counts.windows,
     )
 
 
@@ -339,12 +417,12 @@ def estimate_cost_rate(
 ) -> CostRateEstimate:
     """Renewal-reward cost rate over ``n_cycles`` independent cycles.
 
-    Every cycle consumes its own counter-derived stream, so the estimate is
-    a deterministic function of ``(master_seed, cell_index)`` regardless of
-    scheduling. Censored cycles are excluded from the ratio but reported in
-    the fractions; an all-censored batch raises.
+    The cycles run in blocks of :data:`BLOCK_SIZE` on streams keyed by
+    ``(master_seed, cell_index, block)``, so the estimate is a deterministic
+    function of those and of ``n_cycles``, regardless of scheduling. A
+    censored cycle raises.
     """
-    outcomes = _simulate_cycles(spec, policy, costs, n_cycles, sim, master_seed, cell_index)
+    outcomes = _simulate_cell(spec, policy, n_cycles, sim, master_seed, cell_index)
     return _renewal_reward(outcomes, costs)
 
 
@@ -354,6 +432,11 @@ class GridSearchResult:
     m_opt: float
     cost: float
     surface: list  # of (T, M, CostRateEstimate)
+
+    @property
+    def counts(self) -> SimCounts:
+        """Cycles and windows simulated over the grid (a successful search censors none)."""
+        return sum((SimCounts(est.n_cycles, est.n_windows) for _, _, est in self.surface), SimCounts())
 
     def surface_rows(self) -> list[tuple]:
         rows = []
@@ -459,6 +542,7 @@ class SweepRow:
     cost_opt: float
     t_opt: float
     m_opt: float
+    simulated: SimCounts = SimCounts()  # cycles simulated for this row
 
 
 def sensitivity_sweep(
@@ -481,8 +565,8 @@ def sensitivity_sweep(
     (rate, or inverse-rate center under random effects); each cell re-runs
     the full grid search. ``kind="costs"``: axis1 is the corrective cost,
     axis2 the preventive cost; the policy stays at ``fixed_policy``, and the
-    cycles of stream cell 0 are simulated once and re-priced for every pair,
-    since costs never enter a path.
+    cycles of stream cell 0 are simulated once, counted on the first row,
+    and re-priced for every pair, since costs never enter a path.
     """
     rows: list[SweepRow] = []
     if kind == "parameters":
@@ -490,12 +574,13 @@ def sensitivity_sweep(
             for a2 in axis2:
                 cell_spec = _with_parameters(spec, float(a1), float(a2))
                 res = grid_search(cell_spec, costs, t_grid, m_grid, n_cycles, sim, master_seed, threads)
-                rows.append(SweepRow(float(a1), float(a2), res.cost, res.t_opt, res.m_opt))
+                rows.append(SweepRow(float(a1), float(a2), res.cost, res.t_opt, res.m_opt, res.counts))
     elif kind == "costs":
         if fixed_policy is None:
             raise ValidationError("cost sweep requires a fixed policy")
         fixed_policy.validate_against(spec)
-        outcomes = _simulate_cycles(spec, fixed_policy, costs, n_cycles, sim, master_seed, 0)
+        outcomes = _simulate_cell(spec, fixed_policy, n_cycles, sim, master_seed, 0)
+        simulated = outcomes.counts
         for cc in axis1:
             for cp in axis2:
                 cell_costs = CostRates(
@@ -507,8 +592,9 @@ def sensitivity_sweep(
                 est = _renewal_reward(outcomes, cell_costs)
                 rows.append(
                     SweepRow(float(cc), float(cp), est.point, fixed_policy.inspection_period,
-                             fixed_policy.preventive_threshold)
+                             fixed_policy.preventive_threshold, simulated)
                 )
+                simulated = SimCounts()
     else:
         raise ValidationError("sweep kind must be 'parameters' or 'costs'")
     return rows

@@ -12,7 +12,9 @@ from shotgamma.arrivals import (
     intensity_at,
     simulate_arrival_batch,
     simulate_arrivals,
+    simulate_carried_batch,
     simulate_shocks,
+    sort_within_runs,
     thin_history,
 )
 from shotgamma.errors import ValidationError
@@ -227,3 +229,57 @@ class TestBatchSampler:
             counts = np.bincount(run_ids[times <= t], minlength=n)
             se = counts.std(ddof=1) / np.sqrt(n)
             assert abs(counts.mean() - expected_num_arrivals(params, t)) <= 4 * se
+
+
+class TestCarriedBatch:
+    def test_single_run_matches_single_history_sampler_with_carry(self):
+        # an opening carry enters the first segment and the recursion exactly
+        # as in thin_history, and the end carry is the decayed shock sum
+        for seed in range(5):
+            carry = np.array([0.5 + seed])
+            run_ids, times, end = simulate_carried_batch(BENCH_SCENARIO, 8.0, carry, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            shocks = simulate_shocks(BENCH_SCENARIO, 8.0, rng)
+            want = thin_history(BENCH_SCENARIO, shocks.shock_times, 8.0, float(carry[0]), rng)
+            assert np.all(run_ids == 0)
+            assert np.array_equal(times, want)
+            d = BENCH_SCENARIO.delta
+            want_end = carry[0] * np.exp(-d * 8.0) + np.exp(-d * (8.0 - shocks.shock_times)).sum()
+            assert end[0] == pytest.approx(want_end, rel=1e-12)
+
+    def test_zero_carry_is_the_plain_batch(self):
+        a = simulate_arrival_batch(BENCH_SCENARIO, 5.0, 300, np.random.default_rng(3))
+        b = simulate_carried_batch(BENCH_SCENARIO, 5.0, np.zeros(300), np.random.default_rng(3))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_chained_windows_match_one_long_run(self):
+        # four windows of 2.5 carried forward have the arrival law of one run
+        # of 10: compare mean counts by each window end with the closed form
+        rng = np.random.default_rng(12)
+        n = 20_000
+        carry = np.zeros(n)
+        counts = np.zeros(n)
+        for k in range(4):
+            run_ids, _, carry = simulate_carried_batch(BENCH_SCENARIO, 2.5, carry, rng)
+            counts += np.bincount(run_ids, minlength=n)
+            se = counts.std(ddof=1) / np.sqrt(n)
+            assert abs(counts.mean() - expected_num_arrivals(BENCH_SCENARIO, 2.5 * (k + 1))) <= 4 * se
+
+
+class TestSortWithinRuns:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_lexsort_on_random_and_tied_input(self, seed):
+        rng = np.random.default_rng(seed)
+        runs = np.repeat(np.arange(300), rng.poisson(4.0, 300))
+        times = rng.uniform(0.0, 7.0, runs.size)
+        tied = np.round(times, 1)  # many exact ties inside runs
+        for t in (times, tied):
+            assert np.array_equal(sort_within_runs(runs, t, 7.0), t[np.lexsort((t, runs))])
+        shuffled = rng.permutation(runs)
+        assert np.array_equal(sort_within_runs(shuffled, times, 7.0), times[np.lexsort((times, shuffled))])
+
+    def test_falls_back_where_the_key_merges_times(self):
+        # at run 2**53 the key's spacing is 4, so 0.7 and 0.3 share one key
+        runs = np.full(2, 2**53)
+        times = np.array([0.7, 0.3])
+        assert np.array_equal(sort_within_runs(runs, times, 1.0), [0.3, 0.7])

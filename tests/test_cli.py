@@ -182,6 +182,18 @@ class TestOptimize:
             outs.append((out / "surface.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_manifest_counts_simulated_work(self, small_config, tmp_path):
+        counts = []
+        for name, threads in [("a", "1"), ("b", "2")]:
+            out = tmp_path / name
+            assert main(["optimize", "--config", small_config, "--out", str(out),
+                         "--threads", threads, "--deterministic"]) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            counts.append({k: manifest[k] for k in ("cycles", "windows", "censored_cycles")})
+        assert counts[0] == counts[1]
+        assert counts[0]["cycles"] == 4 * 120 and counts[0]["censored_cycles"] == 0
+        assert counts[0]["windows"] >= counts[0]["cycles"]
+
     def test_seed_override_changes_surface(self, small_config, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         main(["optimize", "--config", small_config, "--out", str(out1), "--deterministic"])
@@ -202,6 +214,9 @@ class TestSensitivity:
         header, *rows = (out / "sensitivity.csv").read_text().strip().splitlines()
         assert header == "axis1,axis2,cost_opt,T_opt,M_opt"
         assert len(rows) == 4
+        # the four cost pairs re-price one simulation of 80 cycles
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["cycles"] == 80 and manifest["censored_cycles"] == 0
 
     def test_missing_section_rejected(self, small_config, tmp_path):
         assert main(["sensitivity", "--config", small_config, "--out", str(tmp_path)]) == 1

@@ -1,17 +1,23 @@
+import re
+
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from shotgamma.arrivals import ShotNoiseParams
 from shotgamma.degradation import GammaModel
 from shotgamma.errors import NumericalError, ValidationError
 from shotgamma.lifetime import SystemSpec
 from shotgamma.maintenance import (
+    ACTIONS,
     CENSORED,
     CORRECTIVE,
     PREVENTIVE,
     CostRates,
     PolicyParams,
     SimControl,
+    _crossing_times,
+    _simulate_block,
     cycle_rng,
     estimate_cost_rate,
     grid_search,
@@ -216,3 +222,79 @@ class TestAgainstExactLength:
         est = estimate_cost_rate(spec_re, POLICY, COSTS, 8000, SIM, 22, 0)
         se = 3 * est.mean_cycle_length / np.sqrt(8000)
         assert abs(est.mean_cycle_length - series) <= se
+
+
+class TestBlockEngine:
+    def test_block_of_one_equals_simulate_cycle(self):
+        sim = SimControl(crossing_refinement=6)
+        for i in range(40):
+            out = simulate_cycle(SPEC, POLICY, COSTS, sim, cycle_rng(23, 0, i))
+            block = _simulate_block(SPEC, POLICY, sim, 1, cycle_rng(23, 0, i))
+            assert (out.inspections, out.action, out.downtime) == (
+                block.inspections[0], ACTIONS[block.action[0]], block.downtime[0])
+
+    @pytest.mark.parametrize("v0, born, threshold", [(7.0, 0.0, 10.0), (0.0, 2.3, 3.0)])
+    def test_bridge_crossing_column_matches_direct_fine_grid(self, v0, born, threshold):
+        # Rows alive at the window start (v0 = 7) and rows born inside step 7
+        # of 16 (born = 2.3, T = 6): the crossing column of the Dirichlet
+        # bridge between the window's endpoints must have the law of the
+        # column read off independent fine-grid increments.
+        alpha, rate, T, n = 1.1, 1.4, 6.0, 60_000
+        sim = SimControl()
+        h = T / sim.substeps
+        grid = h * np.arange(1, sim.substeps + 1)
+        dts = np.minimum(np.maximum(grid - born, 0.0), h)
+        rng = np.random.default_rng(31)
+        direct = v0 + np.cumsum(rng.standard_gamma(alpha * np.tile(dts, (n, 1))) / rate, axis=1)
+        direct = direct[direct[:, -1] >= threshold]
+        col_direct = (direct >= threshold).argmax(axis=1)
+        v1 = v0 + rng.standard_gamma(alpha * (T - born), size=n) / rate
+        v1 = v1[v1 >= threshold]
+        t_cross = _crossing_times(rng, alpha, T, sim, threshold, np.full(v1.size, v0), v1,
+                                  np.full(v1.size, born))
+        col_bridge = np.rint(t_cross / h).astype(int) - 1
+        assert np.array_equal(grid[col_bridge], t_cross)
+        table = np.array([np.bincount(c, minlength=sim.substeps) for c in (col_direct, col_bridge)])
+        table = table[:, table.sum(axis=0) >= 20]
+        assert table.shape[1] >= 5
+        assert chi2_contingency(table).pvalue > 1e-3
+
+    @pytest.mark.parametrize("T", [1.0, 9.0, 25.0])
+    def test_pure_corrective_rate_matches_exact(self, T):
+        # M = L: every cycle ends at the first inspection after the failure,
+        # so the rate is (C_I E[N] + C_c + C_d (E[R] - E[sigma_L])) / E[R]
+        # with E[N] = sum_k S_L(kT); 20000 cycles, |z| <= 4
+        from shotgamma.lifetime import first_passage_law
+        from shotgamma.special import integrate
+
+        law = first_passage_law(SPEC, SPEC.failure_threshold, 60.0)
+        e_sigma = integrate(lambda t: float(law.survival(t)), 0.0, 60.0)
+        e_n = law.survival(T * np.arange(int(60.0 / T) + 1)).sum()
+        e_r = T * e_n
+        exact = (COSTS.inspection * e_n + COSTS.corrective + COSTS.downtime_rate * (e_r - e_sigma)) / e_r
+        est = estimate_cost_rate(SPEC, PolicyParams(T, SPEC.failure_threshold), COSTS, 20_000,
+                                 SimControl(crossing_refinement=14), 24, 0)
+        assert est.corrective_fraction == 1.0
+        assert abs(est.point - exact) <= 4 * est.std_error
+
+    def test_counts_thread_invariant_and_per_cell(self):
+        kwargs = dict(t_grid=[2.0, 7.0], m_grid=[4.0, 10.0], n_cycles=150, sim=SIM, master_seed=25)
+        one = grid_search(SPEC, COSTS, threads=1, **kwargs)
+        two = grid_search(SPEC, COSTS, threads=2, **kwargs)
+        assert one.counts == two.counts
+        assert one.counts.cycles == 4 * 150 and one.counts.censored == 0
+        assert one.counts.windows == sum(est.n_windows for _, _, est in one.surface)
+        for T, _, est in one.surface:
+            assert est.n_windows / est.n_cycles == pytest.approx(est.mean_cycle_length / T, rel=1e-12)
+
+    def test_censored_cycles_raise_with_context(self):
+        # slow wear: failure and preventive levels of 40 and 12 with a cap of
+        # 3 windows of 4 leave about half the cycles running; they must not
+        # silently drop out of the ratio
+        slow = SystemSpec(PARAMS, SPEC.growth, 40.0)
+        with pytest.raises(NumericalError) as err:
+            estimate_cost_rate(slow, PolicyParams(4.0, 12.0), COSTS, 400, SimControl(max_inspections=3), 26, 0)
+        msg = str(err.value)
+        n_cens = int(re.search(r"\b(\d+) of 400 cycles censored", msg).group(1))
+        assert 0 < n_cens < 400
+        assert "max_inspections=3" in msg and "T=4" in msg and "M=12" in msg
