@@ -23,7 +23,7 @@ from .arrivals import expected_num_arrivals, simulate_arrival_batch, write_traje
 from .config import ExperimentConfig, load_config
 from .degradation import (
     fit_half_width,
-    log_likelihood,
+    log_likelihood,  # noqa: F401 -- unused here, but shotbench traces cli.log_likelihood
     random_effect_moments,
     read_observations_csv,
 )
@@ -73,6 +73,10 @@ def cmd_simulate_arrivals(config: ExperimentConfig, args, outdir: Path) -> int:
             fh.write(f"{t:.10g},{emp:.10g},{ana:.10g},{se:.10g},{n}\n")
     print(f"simulated {n} trajectories on [0, {horizon}]; worst |z| vs closed form: {worst:.2f}")
     _write_manifest(outdir, "simulate-arrivals", config, args, {"worst_abs_z": worst})
+    tol = 4.0 * float(config.validation.get("tolerance_scale", 1.0))
+    if worst > tol:
+        print(f"arrival counts off the closed form: worst |z| {worst:.2f} > {tol:.2g}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 
@@ -118,12 +122,11 @@ def cmd_fit(config: ExperimentConfig, args, outdir: Path) -> int:
         int(fit_cfg.get("grid_count", 30)),
     )
     alpha = config.system.growth.shape_rate
+    est, nll, scanned, values = fit_half_width(alpha, center, data, grid, full_output=True)
     with open(outdir / "fit_curve.csv", "w") as fh:
         fh.write("alpha_star,neg_log_likelihood\n")
-        for w in grid:
-            nll = -log_likelihood(alpha, center - w, center + w, data)
-            fh.write(f"{w:.10g},{nll:.10g}\n")
-    est, nll = fit_half_width(alpha, center, data, grid)
+        for w, v in zip(scanned, values):
+            fh.write(f"{w:.10g},{v:.10g}\n")
     print(
         f"fitted half-width {est:.4f} (neg. log-likelihood {nll:.4f}) "
         f"over {data.n_processes} processes, shape rate fixed at {alpha}"

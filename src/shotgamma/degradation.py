@@ -117,7 +117,9 @@ def difference_pdf(cdf, t) -> np.ndarray:
 
     The shape-parameter derivative of the regularized incomplete gamma has
     no elementary form, so a difference quotient is used; a step that loses
-    every significant digit raises ``NumericalError``.
+    every significant digit raises ``NumericalError``. Within 1e-12 of 1 the
+    CDF moves by less than its rounding over a step while the density (the
+    hazard times ``1 - F``) is negligible, so a zero quotient there is kept.
     """
     t_arr = np.atleast_1d(np.asarray(t, float))
     if np.any(t_arr <= 0):
@@ -128,7 +130,7 @@ def difference_pdf(cdf, t) -> np.ndarray:
     f_hi = cdf(hi)
     f_lo = cdf(lo)
     out = (f_hi - f_lo) / (hi - lo)
-    interior = (f_lo > 1e-14) & (f_hi < 1.0 - 1e-14)
+    interior = (f_lo > 1e-14) & (f_lo < 1.0 - 1e-12)
     if np.any(interior & (f_hi == f_lo)):
         raise NumericalError("hitting density difference quotient lost all significant digits")
     out = np.maximum(out, 0.0)
@@ -333,9 +335,7 @@ def random_effect_pdf(model: GammaModel, t: float, u) -> np.ndarray:
         raise ValidationError("level must be positive")
     s = model.shape_rate * t
     log_norm = sp.gammaln(s) + np.log(spec.b - spec.a)
-    out = np.array(
-        [np.exp(log_gamma_diff(s - 1.0, x / spec.b, x / spec.a) - log_norm) for x in u_arr]
-    )
+    out = np.exp(log_gamma_diff(s - 1.0, u_arr / spec.b, u_arr / spec.a) - log_norm)
     return float(out[0]) if np.isscalar(u) else out
 
 
@@ -427,11 +427,18 @@ class DegradationObservations:
     """Per-process observation times and cumulative levels.
 
     Times are strictly increasing and start after 0 (paths start at level 0
-    at time 0); levels are non-decreasing.
+    at time 0); levels are non-decreasing. At construction the increments
+    and time steps of all processes are also flattened into ``increments``
+    and ``steps``, and each process's last time and level into
+    ``end_times`` and ``end_levels``.
     """
 
     times: list = field(default_factory=list)
     levels: list = field(default_factory=list)
+    increments: np.ndarray = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
+    end_times: np.ndarray = field(init=False, repr=False, compare=False)
+    end_levels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.levels):
@@ -456,6 +463,11 @@ class DegradationObservations:
             clean_x.append(x)
         self.times = clean_t
         self.levels = clean_x
+        empty = [np.empty(0)]
+        self.increments = np.concatenate(empty + [np.diff(x, prepend=0.0) for x in clean_x])
+        self.steps = np.concatenate(empty + [np.diff(t, prepend=0.0) for t in clean_t])
+        self.end_times = np.array([t[-1] for t in clean_t], float)
+        self.end_levels = np.array([x[-1] for x in clean_x], float)
 
     @property
     def n_processes(self) -> int:
@@ -471,14 +483,13 @@ def read_observations_csv(path) -> DegradationObservations:
     raw = np.atleast_1d(raw)
     if raw.size == 0:
         raise ValidationError("observations CSV is empty")
-    times, levels = [], []
-    ids = raw["process_id"]
-    for pid in np.unique(ids):
-        rows = raw[ids == pid]
-        order = np.argsort(rows["time"])
-        times.append(rows["time"][order])
-        levels.append(rows["level"][order])
-    return DegradationObservations(times=times, levels=levels)
+    # One stable sort by (process_id, time), then a cut where the id changes.
+    order = np.lexsort((raw["time"], raw["process_id"]))
+    ids = raw["process_id"][order]
+    cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    return DegradationObservations(
+        times=np.split(raw["time"][order], cuts), levels=np.split(raw["level"][order], cuts)
+    )
 
 
 def write_observations_csv(path, data: DegradationObservations) -> None:
@@ -521,18 +532,15 @@ def log_likelihood(alpha: float, a: float, b: float, data: DegradationObservatio
         raise ValidationError("alpha must be positive")
     if not 0 < a < b:
         raise ValidationError("requires 0 < a < b")
-    total = -data.n_processes * np.log(b - a)
-    for t, x in zip(data.times, data.levels):
-        dx = np.diff(np.concatenate(([0.0], x)))
-        dt = np.diff(np.concatenate(([0.0], t)))
-        if np.any(dx <= 0):
-            raise ValidationError("zero or negative level increments are not admissible")
-        shape_steps = alpha * dt
-        total += float(np.sum((shape_steps - 1.0) * np.log(dx) - sp.gammaln(shape_steps)))
-        t_n, x_n = t[-1], x[-1]
-        total += log_gamma_diff(alpha * t_n - 1.0, x_n / b, x_n / a)
-        total -= (alpha * t_n - 1.0) * np.log(x_n)
-    return float(total)
+    if np.any(data.increments <= 0):
+        raise ValidationError("zero or negative level increments are not admissible")
+    shape_steps = alpha * data.steps
+    shape_end = alpha * data.end_times - 1.0
+    # Everything but the incomplete-gamma difference depends on alpha alone.
+    total = np.sum((shape_steps - 1.0) * np.log(data.increments) - sp.gammaln(shape_steps))
+    total -= np.sum(shape_end * np.log(data.end_levels))
+    total += np.sum(log_gamma_diff(shape_end, data.end_levels / b, data.end_levels / a))
+    return float(total - data.n_processes * np.log(b - a))
 
 
 def _golden_section(fn, lo: float, hi: float, tol: float = 1e-4) -> tuple[float, float]:
@@ -558,14 +566,16 @@ def fit_half_width(
     data: DegradationObservations,
     grid: Sequence[float],
     refine: bool = True,
-) -> tuple[float, float]:
+    full_output: bool = False,
+):
     """Profile the heterogeneity half-width at fixed shape rate and center.
 
     Scans the negative log-likelihood of ``inverse rate ~ U(center - w,
     center + w)`` over the supplied half-width grid and optionally refines
     the grid minimum by golden-section search.
 
-    Returns the estimate and its negative log-likelihood.
+    Returns the estimate and its negative log-likelihood; with
+    ``full_output`` also the sorted grid and its scanned values.
     """
     grid = np.asarray(grid, float)
     if grid.size == 0 or np.any(grid <= 0) or np.any(grid >= center):
@@ -586,5 +596,7 @@ def fit_half_width(
         w_ref, v_ref = _golden_section(neg_ll, float(lo), float(hi))
         if v_ref < best_v:
             best_w, best_v = w_ref, v_ref
+    if full_output:
+        return best_w, best_v, grid, values
     return best_w, best_v
 

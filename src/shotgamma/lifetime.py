@@ -287,25 +287,29 @@ class HittingTimeSampler:
 
     Bracketed vectorized bisection tightened by secant steps, to 1e-10 in
     probability; path discretization never enters lifetime studies.
+
+    With a ``limit`` (scalar or one per draw) only the times that can be at
+    most their limit are inverted; a time that provably exceeds it reads
+    ``+inf``. The draws are the same with or without a limit, and every
+    inverted time is bit-identical to the unscreened one.
     """
 
     def __init__(self, growth: GammaModel, threshold: float):
         self.growth = growth
         self.threshold = threshold
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int, limit=None) -> np.ndarray:
         rates = self.growth.draw_rates(rng, size)
         u = rng.uniform(size=size)
-        return self.invert(u, rates)
+        return self.invert(u, rates, limit)
 
-    def invert(self, u: np.ndarray, rates: np.ndarray) -> np.ndarray:
-        alpha = self.growth.shape_rate
+    def invert(self, u: np.ndarray, rates: np.ndarray, limit=None) -> np.ndarray:
         x = rates * self.threshold
         if np.ptp(x) == 0.0:
-            return self._invert_common(u, float(x.flat[0]))
-        return self._invert_bisect(u, x)
+            return self._invert_common(u, float(x.flat[0]), limit)
+        return self._invert_bisect(u, x, limit)
 
-    def _invert_common(self, u: np.ndarray, x: float) -> np.ndarray:
+    def _invert_common(self, u: np.ndarray, x: float, limit) -> np.ndarray:
         # Shared CDF: bracket on a fine precomputed grid, one full regula
         # falsi sweep, then masked sweeps for whatever points remain.
         alpha = self.growth.shape_rate
@@ -315,9 +319,26 @@ class HittingTimeSampler:
              np.linspace(max(x / 3.0, 1e-2) + 1e-9, s_hi, 16384)]
         )
         f_grid = sp.gammaincc(s_grid, x)
-        keep = np.concatenate(([True], np.diff(f_grid) > 0))
-        s_grid, f_grid = s_grid[keep], f_grid[keep]
-        idx = np.clip(np.searchsorted(f_grid, u), 1, len(f_grid) - 1)
+        rising = np.concatenate(([True], np.diff(f_grid) > 0))
+        s_grid, f_grid = s_grid[rising], f_grid[rising]
+        out = np.full(u.shape, np.inf)
+        rows = slice(None)
+        if limit is not None:
+            # Regula falsi never leaves its bracket's lower end (0 below the
+            # grid), so a lower end past alpha*limit proves the time exceeds
+            # it. Uniforms above f_grid[j], s_grid[j] being the first grid
+            # point past the largest alpha*limit, have their lower end at or
+            # past it and need no search (unless j is the clipped last bracket).
+            s_limit = alpha * np.broadcast_to(np.asarray(limit, float), u.shape)
+            j = np.searchsorted(s_grid, s_limit.max(), side="right")
+            rows = np.flatnonzero(u <= f_grid[j]) if j < len(f_grid) - 1 else np.arange(u.size)
+            found = np.searchsorted(f_grid, u[rows])
+            idx = np.clip(found, 1, len(f_grid) - 1)
+            lower = np.where(found > 0, s_grid[idx - 1], 0.0)
+            reach = lower <= s_limit[rows]
+            rows, u, idx = rows[reach], u[rows[reach]], idx[reach]
+        else:
+            idx = np.clip(np.searchsorted(f_grid, u), 1, len(f_grid) - 1)
         lo, hi = s_grid[idx - 1], s_grid[idx]
         f_lo, f_hi = f_grid[idx - 1], f_grid[idx]
         s = lo + (u - f_lo) / np.maximum(f_hi - f_lo, 1e-300) * (hi - lo)
@@ -337,22 +358,34 @@ class HittingTimeSampler:
             ) * (hi[pending] - lo[pending])
             f_s[pending] = sp.gammaincc(s[pending], x)
             pending = pending[np.abs(f_s[pending] - u[pending]) >= 1e-10]
-        return s / alpha
+        out[rows] = s / alpha
+        return out
 
-    def _invert_bisect(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _invert_bisect(self, u: np.ndarray, x: np.ndarray, limit) -> np.ndarray:
         alpha = self.growth.shape_rate
 
-        def cdf_at(t):
+        def cdf_at(t, x):
             return sp.gammaincc(alpha * np.maximum(t, 1e-300), x)
 
+        out = np.full(u.shape, np.inf)
+        rows = slice(None)
+        if limit is not None:
+            # A uniform above F(limit), less the inversion's tolerance in
+            # probability, has its time beyond the limit; F is largest at the
+            # largest limit and the smallest x.
+            limit = np.broadcast_to(np.asarray(limit, float), u.shape)
+            rows = np.flatnonzero(u <= cdf_at(limit.max(), x.min()) + 1e-10)
+            rows = rows[u[rows] <= cdf_at(limit[rows], x[rows]) + 1e-10]
+            u, x = u[rows], x[rows]
         hi = (x + 50.0 * np.sqrt(x) + 60.0) / alpha
         lo = np.zeros_like(u)
         for _ in range(52):
             mid = 0.5 * (lo + hi)
-            below = cdf_at(mid) < u
+            below = cdf_at(mid, x) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        out[rows] = 0.5 * (lo + hi)
+        return out
 
 
 def simulate_first_passage_batch(
@@ -361,7 +394,10 @@ def simulate_first_passage_batch(
     """First exceedance times for ``n`` independent systems; NaN when censored.
 
     Arrivals beyond the horizon cannot produce an exceedance inside it, so
-    simulating arrivals on ``[0, horizon]`` is exact.
+    simulating arrivals on ``[0, horizon]`` is exact. Only the hitting times
+    that can end inside the horizon are inverted; the screen's limit carries
+    a slack of 1e-12 horizons so that rounding ``arrival + time`` cannot bring
+    a screened time back inside.
     """
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
@@ -369,10 +405,11 @@ def simulate_first_passage_batch(
     run_ids, arrivals_t = simulate_arrival_batch(spec.arrivals, horizon, n, rng)
     out = np.full(n, np.nan)
     if arrivals_t.size:
-        sigma = sampler.sample(rng, arrivals_t.size)
-        w = arrivals_t + sigma
+        limit = (horizon - arrivals_t) + 1e-12 * horizon
+        sigma = sampler.sample(rng, arrivals_t.size, limit=limit)
+        hit = np.flatnonzero(np.isfinite(sigma))
         first = np.full(n, np.inf)
-        np.minimum.at(first, run_ids, w)
+        np.minimum.at(first, run_ids[hit], arrivals_t[hit] + sigma[hit])
         inside = first <= horizon
         out[inside] = first[inside]
     return out

@@ -147,27 +147,38 @@ def gamma_cdf(shape: ArrayLike, rate: ArrayLike, x: ArrayLike) -> ArrayLike:
     return out
 
 
-def log_gamma_diff(shape: float, x1: float, x2: float) -> float:
+def log_gamma_diff(shape: ArrayLike, x1: ArrayLike, x2: ArrayLike) -> ArrayLike:
     """log of ``integral from x1 to x2 of z**(shape-1) * exp(-z) dz``.
 
     Valid for any real ``shape`` (including non-positive values, where each
     endpoint integral alone would diverge at 0) as long as
     ``0 < x1 < x2``. Used by the scale-mixture density and likelihood, where
-    ``shape`` can drop below zero for short observation windows.
+    ``shape`` can drop below zero for short observation windows. Arguments
+    broadcast; the result is a float when all three are scalars.
     """
-    if not (0.0 < x1 < x2):
+    shape_b, x1_b, x2_b = np.broadcast_arrays(
+        np.asarray(shape, float), np.asarray(x1, float), np.asarray(x2, float)
+    )
+    shape_a, x1_a, x2_a = shape_b.ravel(), x1_b.ravel(), x2_b.ravel()
+    if not np.all((0.0 < x1_a) & (x1_a < x2_a)):
         raise ValidationError("log_gamma_diff requires 0 < x1 < x2")
-    if shape > 0.0:
-        # Difference of regularized integrals unless cancellation bites.
-        q1, q2 = sp.gammaincc(shape, x1), sp.gammaincc(shape, x2)
-        p1, p2 = sp.gammainc(shape, x1), sp.gammainc(shape, x2)
-        dq = q1 - q2
-        dp = p2 - p1
-        diff = dq if q1 <= p2 else dp
-        scale = min(q1, p2)
-        if diff > 0.0 and diff > 1e-7 * scale:
-            return float(sp.gammaln(shape) + np.log(diff))
-    return _log_gamma_diff_quad(shape, x1, x2)
+    out = np.empty(shape_a.size)
+    pos = shape_a > 0.0
+    s, lo, hi = shape_a[pos], x1_a[pos], x2_a[pos]
+    # Difference of regularized integrals unless cancellation bites.
+    q1, q2 = sp.gammaincc(s, lo), sp.gammaincc(s, hi)
+    p1, p2 = sp.gammainc(s, lo), sp.gammainc(s, hi)
+    diff = np.where(q1 <= p2, q1 - q2, p2 - p1)
+    resolved = (diff > 0.0) & (diff > 1e-7 * np.minimum(q1, p2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[pos] = sp.gammaln(s) + np.log(diff)
+    fallback = ~pos
+    fallback[pos] = ~resolved
+    for i in np.flatnonzero(fallback):
+        out[i] = _log_gamma_diff_quad(shape_a[i], x1_a[i], x2_a[i])
+    if np.isscalar(shape) and np.isscalar(x1) and np.isscalar(x2):
+        return float(out[0])
+    return out.reshape(shape_b.shape)
 
 
 def _log_gamma_diff_quad(shape: float, x1: float, x2: float) -> float:

@@ -83,6 +83,16 @@ class TestSimulateArrivals(object):
         assert manifest["master_seed"] == 33
         assert "written_at" not in manifest
 
+    def test_count_mismatch_is_validation_failure(self, small_config, tmp_path, capsys, monkeypatch):
+        from shotgamma import cli
+
+        exact = cli.expected_num_arrivals
+        monkeypatch.setattr(cli, "expected_num_arrivals", lambda params, t: 1.2 * exact(params, t))
+        rc = main(["simulate-arrivals", "--config", small_config, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "worst |z|" in capsys.readouterr().err
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["worst_abs_z"] > 4.0
+
 
 class TestReliability:
     def test_runs_without_costs(self, tmp_path):
@@ -139,6 +149,11 @@ class TestFit:
         assert header == "alpha_star,neg_log_likelihood"
         grid = [float(r.split(",")[0]) for r in rows]
         assert grid == sorted(grid)
+        from shotgamma.degradation import log_likelihood, read_observations_csv
+
+        back = read_observations_csv(data_path)
+        for w, row in zip(np.linspace(0.05, 0.6, 18), rows):
+            assert row == f"{w:.10g},{-log_likelihood(1.1, 1.0 - w, 1.0 + w, back):.10g}"
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert abs(manifest["alpha_star_hat"] - 0.25) < 0.2
 

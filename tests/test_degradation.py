@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special as sp
 from scipy.integrate import quad
 
 from shotgamma.degradation import (
@@ -8,6 +9,7 @@ from shotgamma.degradation import (
     DeltaHittingLaw,
     DeterministicScale,
     GammaModel,
+    difference_pdf,
     UniformInverseScale,
     delta_hitting_survival,
     fit_half_width,
@@ -22,7 +24,9 @@ from shotgamma.degradation import (
     simulate_observation_paths,
     write_observations_csv,
 )
-from shotgamma.errors import ValidationError
+from shotgamma import special
+from shotgamma.errors import NumericalError, ValidationError
+from shotgamma.lifetime import HittingLaw
 from shotgamma.special import gamma_pdf, regularized_upper_gamma
 
 RE_MODEL = GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1)
@@ -343,3 +347,114 @@ class TestPathMonotonicity:
         data = simulate_observation_paths(RE_MODEL, 10, np.linspace(0.5, 20, 40), rng)
         for x in data.levels:
             assert np.all(np.diff(x) >= 0)
+
+
+def _scalar_log_gamma_diff(shape, x1, x2):
+    """One row of the incomplete-gamma difference, by the scalar rule."""
+    if shape > 0.0:
+        q1, q2 = sp.gammaincc(shape, x1), sp.gammaincc(shape, x2)
+        p1, p2 = sp.gammainc(shape, x1), sp.gammainc(shape, x2)
+        diff = q1 - q2 if q1 <= p2 else p2 - p1
+        if diff > 0.0 and diff > 1e-7 * min(q1, p2):
+            return float(sp.gammaln(shape) + np.log(diff))
+    return special._log_gamma_diff_quad(shape, x1, x2)
+
+
+def _reference_log_likelihood(alpha, a, b, data):
+    """The mixture log-likelihood summed process by process."""
+    total = -data.n_processes * np.log(b - a)
+    for t, x in zip(data.times, data.levels):
+        dx = np.diff(np.concatenate(([0.0], x)))
+        steps = alpha * np.diff(np.concatenate(([0.0], t)))
+        total += float(np.sum((steps - 1.0) * np.log(dx) - sp.gammaln(steps)))
+        s_n = alpha * t[-1] - 1.0
+        total += _scalar_log_gamma_diff(s_n, x[-1] / b, x[-1] / a) - s_n * np.log(x[-1])
+    return total
+
+
+class TestVectorisedLikelihood:
+    @pytest.fixture()
+    def count_quadrature(self, monkeypatch):
+        calls = []
+        quad_fn = special._log_gamma_diff_quad
+
+        def counted(*args):
+            calls.append(args)
+            return quad_fn(*args)
+
+        monkeypatch.setattr(special, "_log_gamma_diff_quad", counted)
+        return calls
+
+    def test_random_effects_data(self):
+        rng = np.random.default_rng(30)
+        data = simulate_observation_paths(RE_MODEL, 60, np.arange(2.0, 21.0, 2.0), rng)
+        for w in np.linspace(0.02, 0.6, 7):
+            a, b = 1 / 1.4 - w, 1 / 1.4 + w
+            want = _reference_log_likelihood(1.1, a, b, data)
+            assert log_likelihood(1.1, a, b, data) == pytest.approx(want, rel=1e-12)
+
+    def test_quadrature_fallback(self, count_quadrature):
+        rng = np.random.default_rng(31)
+        data = simulate_observation_paths(RE_MODEL, 20, np.arange(1.0, 11.0), rng)
+        # at this half-width most, not all, terminal differences cancel
+        a, b = 0.9 - 1e-8, 0.9 + 1e-8
+        got = log_likelihood(1.1, a, b, data)
+        assert 0 < len(count_quadrature) < data.n_processes
+        assert got == pytest.approx(_reference_log_likelihood(1.1, a, b, data), rel=1e-12)
+
+    def test_non_positive_terminal_shape(self, count_quadrature):
+        # alpha*t_n - 1 <= 0 for single short observations
+        rng = np.random.default_rng(32)
+        ends = rng.uniform(0.1, 0.9, 15)
+        data = DegradationObservations(times=[[t] for t in ends],
+                                       levels=[[x] for x in rng.uniform(0.05, 1.0, 15)])
+        got = log_likelihood(1.1, 0.6, 0.9, data)
+        assert len(count_quadrature) == data.n_processes
+        assert got == pytest.approx(_reference_log_likelihood(1.1, 0.6, 0.9, data), rel=1e-12)
+
+    def test_flattened_once(self):
+        data = DegradationObservations(times=[[0.0, 1.0, 3.0], [2.0]], levels=[[0.0, 0.5, 0.75], [1.5]])
+        np.testing.assert_array_equal(data.increments, [0.5, 0.25, 1.5])
+        np.testing.assert_array_equal(data.steps, [1.0, 2.0, 2.0])
+        np.testing.assert_array_equal(data.end_times, [3.0, 2.0])
+        np.testing.assert_array_equal(data.end_levels, [0.75, 1.5])
+
+    def test_fit_scan_is_the_likelihood(self):
+        rng = np.random.default_rng(33)
+        data = simulate_observation_paths(RE_MODEL, 10, np.arange(1.0, 11.0), rng)
+        grid = np.linspace(0.6, 0.05, 9)
+        est, nll, scanned, values = fit_half_width(1.0, 1.0, data, grid, full_output=True)
+        np.testing.assert_array_equal(scanned, np.sort(grid))
+        np.testing.assert_array_equal(values, [-log_likelihood(1.0, 1 - w, 1 + w, data) for w in scanned])
+        assert (est, nll) == fit_half_width(1.0, 1.0, data, grid)
+
+
+class TestReadObservationsShuffled:
+    def test_shuffled_rows_read_as_sorted(self, tmp_path):
+        rng = np.random.default_rng(34)
+        data = simulate_observation_paths(RE_MODEL, 12, np.arange(1.0, 8.0), rng)
+        path = tmp_path / "obs.csv"
+        write_observations_csv(path, data)
+        header, *rows = path.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header] + [rows[i] for i in rng.permutation(len(rows))]) + "\n")
+        ordered, back = read_observations_csv(path), read_observations_csv(shuffled)
+        assert back.n_processes == 12
+        for name in ("times", "levels"):
+            for x, y in zip(getattr(ordered, name), getattr(back, name)):
+                np.testing.assert_array_equal(x, y)
+        for name in ("increments", "steps", "end_times", "end_levels"):
+            np.testing.assert_array_equal(getattr(ordered, name), getattr(back, name))
+
+
+class TestDifferencePdfSaturation:
+    def test_saturated_tail_returns_quotient(self):
+        t = np.arange(0.01, 20.0, 0.01)
+        law = HittingLaw(GammaModel.deterministic(1.1, 1.4), 1.0)
+        pdf = law.pdf(t)
+        assert np.all(np.isfinite(pdf)) and np.all(pdf >= 0.0)
+        assert pdf[t > 16.0].max() < 1e-12
+
+    def test_interior_loss_still_raises(self):
+        with pytest.raises(NumericalError, match="significant digits"):
+            difference_pdf(lambda x: np.full(np.shape(x), 0.5), np.array([1.0, 2.0]))

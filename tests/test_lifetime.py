@@ -203,3 +203,53 @@ class TestCurveOutput:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,survival,hazard"
         assert len(rows) == 12
+
+
+def _unscreened_batch(spec, threshold, horizon, n, rng):
+    """First exceedance times with every hitting time inverted."""
+    run_ids, arrivals = simulate_arrival_batch(spec.arrivals, horizon, n, rng)
+    sigma = HittingTimeSampler(spec.growth, threshold).sample(rng, arrivals.size)
+    first = np.full(n, np.inf)
+    np.minimum.at(first, run_ids, arrivals + sigma)
+    return np.where(first <= horizon, first, np.nan)
+
+
+RE_GROWTH = GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1)
+
+
+class TestScreenedSampler:
+    @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
+    @pytest.mark.parametrize("horizon", [10.0, 0.5])
+    def test_equals_unscreened_element_by_element(self, growth, horizon):
+        sampler = HittingTimeSampler(growth, 10.0)
+        limit = horizon - np.random.default_rng(20).uniform(0.0, horizon, 6000)
+        full = sampler.sample(np.random.default_rng(21), limit.size)
+        screened = sampler.sample(np.random.default_rng(21), limit.size, limit=limit)
+        kept = np.isfinite(screened)
+        np.testing.assert_array_equal(screened[kept], full[kept])
+        assert np.all(full[~kept] > limit[~kept])
+        assert np.all(kept[full <= limit])
+        if horizon < 1.0:
+            assert kept.mean() < 0.01
+
+    @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
+    def test_extreme_uniforms(self, growth):
+        sampler = HittingTimeSampler(growth, 10.0)
+        u = np.array([1e-300, 1e-12, 0.5, 1.0 - 1e-12, 0.5])
+        rates = growth.draw_rates(np.random.default_rng(22), u.size)
+        limit = np.array([0.1, 0.1, 100.0, 100.0, 0.1])
+        full = sampler.invert(u, rates)
+        screened = sampler.invert(u, rates, limit=limit)
+        kept = np.isfinite(screened)
+        np.testing.assert_array_equal(screened[kept], full[kept])
+        assert np.all(full[~kept] > limit[~kept])
+        assert kept[:4].all() and not kept[4]
+
+    @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
+    @pytest.mark.parametrize("horizon,n", [(10.0, 3000), (0.3, 3000), (10.0, 1), (20.0, 1)])
+    def test_batch_equals_unscreened(self, growth, horizon, n):
+        spec = SystemSpec(PARAMS, growth, 10.0)
+        for seed in range(3):
+            got = simulate_first_passage_batch(spec, 10.0, horizon, n, np.random.default_rng(seed))
+            want = _unscreened_batch(spec, 10.0, horizon, n, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)

@@ -175,6 +175,19 @@ class TestLogGammaDiff:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValidationError):
             log_gamma_diff(1.0, 2.0, 1.0)
+        with pytest.raises(ValidationError):
+            log_gamma_diff(np.array([1.0, 1.0]), np.array([0.5, 2.0]), 1.5)
+
+    def test_array_form_equals_scalar_calls(self):
+        # regular rows, non-positive shapes and cancelling rows (quadrature)
+        shape = np.array([2.5, -0.7, 0.0, 44.0, 21.0, 21.0, 3.0])
+        x1 = np.array([0.5, 0.2, 0.3, 20.0, 10.0, 10.0, 40.0])
+        x2 = np.array([3.0, 1.1, 2.0, 35.0, 10.0 + 1e-6, 30.0, 41.0])
+        got = log_gamma_diff(shape, x1, x2)
+        assert isinstance(got, np.ndarray) and got.shape == shape.shape
+        want = [log_gamma_diff(float(s), float(a), float(b)) for s, a, b in zip(shape, x1, x2)]
+        np.testing.assert_array_equal(got, want)
+        assert isinstance(log_gamma_diff(2.5, 0.5, 3.0), float)
 
     @given(
         st.floats(min_value=-2.0, max_value=30.0),
