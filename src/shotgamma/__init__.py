@@ -18,10 +18,8 @@ from .degradation import (
     DeterministicScale,
     GammaModel,
     UniformInverseScale,
-    delta_hitting_survival,
     fit_half_width,
     hitting_cdf,
-    hitting_pdf,
     log_likelihood,
     matched_variance_comparison,
     random_effect_hitting_cdf,
@@ -34,11 +32,8 @@ from .lifetime import (
     SystemSpec,
     displaced_expected_intensity,
     expected_exceedances,
-    first_passage_hazard,
-    first_passage_survival,
-    hazard_derivative,
+    first_passage_law,
     hazard_limit,
-    simulate_first_passage,
 )
 from .maintenance import (
     CostRateEstimate,
@@ -52,4 +47,4 @@ from .maintenance import (
     simulate_cycle,
 )
 from .analytics import CycleAnalytics, analytic_cycle_quantities, cost_rate_analytic
-from .special import QuadratureSpec, integrate, regularized_upper_gamma, upper_incomplete_gamma
+from .special import QuadratureSpec, integrate

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .degradation import DeterministicScale, delta_hitting_survival
+from . import degradation
 from .errors import NumericalError, ValidationError
 from .lifetime import (
     HittingLaw,
@@ -102,7 +102,10 @@ class PolicyAnalytics:
         horizon = (k_max + 1) * T
         self._law_m = HittingLaw(spec.growth, M)
         self._passage = first_passage_law(spec, M, horizon + T)
-        self._deterministic = isinstance(spec.growth.scale_spec, DeterministicScale)
+        # S_M(min(iT, t_max)) for i = 0 .. k_max + 3, which reaches past t_max
+        i_t = np.minimum(T * np.arange(k_max + 4), self._passage.t_max)
+        self._survival = self._passage.survival(i_t)
+        self._deterministic = not spec.growth.has_random_effects
         self._log_voids = None
         self._gap = None
 
@@ -110,25 +113,16 @@ class PolicyAnalytics:
 
     def cycle_length_series(self) -> tuple[float, float, float]:
         """(E[R], E[N_I], deficit at the analysis cap) from the renewal series."""
-        T = self.policy.inspection_period
-        total = 1.0
-        i = 1
-        while True:
-            s = float(self._passage.survival(min(i * T, self._passage.t_max)))
-            total += s
-            if s < 1e-12 or i * T >= self._passage.t_max:
-                break
-            i += 1
-        deficit = float(self._passage.survival(min(self.k_max * T, self._passage.t_max)))
-        return T * total, total, deficit
+        T, s = self.policy.inspection_period, self._survival
+        # the series ends at its first term below 1e-12 or at the law's range
+        last = np.flatnonzero((s < 1e-12) | (T * np.arange(s.size) >= self._passage.t_max))[0]
+        total = float(np.cumsum(np.append(1.0, s[1 : last + 1]))[-1])
+        return T * total, total, float(s[self.k_max])
 
     def n_windows(self) -> int:
         """Windows up to ``k_max`` that start with preventive survival of at least ``tol``."""
-        T = self.policy.inspection_period
-        for k in range(self.k_max):
-            if float(self._passage.survival(k * T)) < self.tol:
-                return k
-        return self.k_max
+        below = np.flatnonzero(self._survival[: self.k_max] < self.tol)
+        return int(below[0]) if below.size else self.k_max
 
     # -- window quantities ----------------------------------------------
 
@@ -174,12 +168,13 @@ class PolicyAnalytics:
             spec, M = self.spec, self.policy.preventive_threshold
             horizon = (self.k_max + 1) * self.policy.inspection_period
             ts = np.linspace(0.0, horizon, int(np.clip(horizon / 0.01, 2048, 20000)))
-            gap_surv = delta_hitting_survival(
-                spec.growth.shape_rate, spec.growth.scale_spec.beta, M, spec.failure_threshold, ts
+            # looked up on the module at call time, where a tracer may rebind it
+            gap = degradation.DeltaHittingLaw(
+                spec.growth.shape_rate, spec.growth.scale_spec.beta, M, spec.failure_threshold
             )
             f_m = self._law_m.pdf(np.maximum(ts, 1e-9))
             conv = _decayed_convolution(f_m, ts[1] - ts[0], spec.arrivals.delta)
-            self._gap = PchipInterpolator(ts, gap_surv), PchipInterpolator(ts, conv)
+            self._gap = PchipInterpolator(ts, gap.survival(ts)), PchipInterpolator(ts, conv)
         return self._gap
 
     def _void_table(self, n: int) -> np.ndarray:
@@ -246,26 +241,24 @@ class PolicyAnalytics:
 
         With ``a = kT`` and ``V_k`` the void probability of ``_void_table``,
         ``P_c = S_M(a) - V_k(T)``, ``E_d = int_0^T (S_M(a) - V_k(d)) dd`` by
-        Gauss-Legendre in ``d``, and ``P_p = S_M(a) - S_M(a+T) - P_c``.
+        Gauss-Legendre in ``d``, and ``P_p = S_M(a) - S_M(a+T) - P_c``. At
+        ``M = L`` the first crossing is the failure, so ``V_k(d) = S_L(a+d)``
+        and ``P_p = 0``.
         """
         self._require_deterministic()
         T = self.policy.inspection_period
-        tau = (k + 1) * T
-        if self.policy.preventive_threshold >= self.spec.failure_threshold:
-            # pure corrective policy: the first crossing is the failure
-            u, wu = _gl(k * T, tau)
-            f_v = self._passage.pdf(u)
-            mass = float(np.sum(wu * f_v))
-            downtime = float(np.sum(wu * f_v * (tau - u)))
-            return 0.0, mass, downtime
-        if self._log_voids is None or k >= self._log_voids.shape[1]:
-            self._log_voids = self._void_table(max(k + 1, self.n_windows()))
-        voids = np.exp(self._log_voids[:, k])
         s_a = float(self._passage.survival(k * T))
-        _, wd = leggauss(_D_NODES)
+        s_tau = float(self._passage.survival((k + 1) * T))
+        nodes, wd = leggauss(_D_NODES)
+        if self.policy.preventive_threshold >= self.spec.failure_threshold:
+            voids = np.append(self._passage.survival(k * T + 0.5 * T * (nodes + 1.0)), s_tau)
+        else:
+            if self._log_voids is None or k >= self._log_voids.shape[1]:
+                self._log_voids = self._void_table(max(k + 1, self.n_windows()))
+            voids = np.exp(self._log_voids[:, k])
         p_c = s_a - float(voids[-1])
         downtime = 0.5 * T * float(np.sum(wd * (s_a - voids[:-1])))
-        p_p = s_a - float(self._passage.survival(tau)) - p_c
+        p_p = s_a - s_tau - p_c
         return p_p, p_c, downtime
 
 
@@ -280,10 +273,9 @@ def analytic_cycle_quantities(
     """
     eng = PolicyAnalytics(spec, policy, k_max, tol)
     e_r, e_ni, _ = eng.cycle_length_series()
-    T = policy.inspection_period
     n_windows = eng.n_windows()
     p_p, p_c, e_d = np.array([eng.window_split(k) for k in range(n_windows)]).reshape(-1, 3).T
-    deficit = float(eng._passage.survival(min(n_windows * T, eng._passage.t_max)))
+    deficit = float(eng._survival[n_windows])
     if deficit > 10 * tol:
         raise NumericalError(
             f"window series truncated with deficit {deficit:.3e} > 10*tol; raise k_max"

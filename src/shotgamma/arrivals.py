@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Segment count up to which thin_segments draws its Poisson counts one by one.
-_SCALAR_DRAWS = 12
-
 
 @dataclass(frozen=True)
 class ShotNoiseParams:
@@ -159,14 +156,8 @@ def thin_segments(
     segment index and time of each accepted point, in proposal order.
     """
     bounds = params.lambda0 + carry
-    means = bounds * length
-    if means.size <= _SCALAR_DRAWS:
-        # one draw at a time skips the array path's argument checks; same stream
-        counts = [rng.poisson(m) for m in means.tolist()]
-        total = sum(counts)
-    else:
-        counts = rng.poisson(means)
-        total = int(counts.sum())
+    counts = rng.poisson(bounds * length)
+    total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=int), np.empty(0)
     seg = np.repeat(np.arange(left.size), counts)

@@ -10,7 +10,6 @@ moments, density and likelihood.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -135,11 +134,6 @@ def difference_pdf(cdf, t) -> np.ndarray:
         raise NumericalError("hitting density difference quotient lost all significant digits")
     out = np.maximum(out, 0.0)
     return float(out[0]) if np.isscalar(t) else out
-
-
-def hitting_pdf(shape_rate: float, rate: float, threshold: float, t) -> np.ndarray:
-    """Density of the first hitting time, by :func:`difference_pdf` of :func:`hitting_cdf`."""
-    return difference_pdf(lambda x: hitting_cdf(shape_rate, rate, threshold, x), t)
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +295,6 @@ class DeltaHittingLaw:
 
     def cdf(self, t) -> np.ndarray:
         return 1.0 - self.survival(t)
-
-
-@functools.lru_cache(maxsize=32)
-def _delta_law(shape_rate: float, rate: float, lower: float, upper: float) -> DeltaHittingLaw:
-    return DeltaHittingLaw(shape_rate, rate, lower, upper)
-
-
-def delta_hitting_survival(
-    shape_rate: float, rate: float, lower: float, upper: float, t
-) -> np.ndarray:
-    """Survival function of the time between first crossing M and first crossing L."""
-    return _delta_law(shape_rate, rate, lower, upper).survival(t)
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,9 @@ class HittingLaw:
 
 
 class FirstPassageLaw:
-    """Grid-cached survival, hazard and density of the first exceedance.
+    """Grid-cached survival and hazard of the first exceedance.
 
-    All three come from two cumulative integrals of the hitting CDF ``F``:
+    Both come from two cumulative integrals of the hitting CDF ``F``:
     ``I(t) = int_0^t F`` and the decayed convolution
     ``q(t) = int_0^t exp(-delta*(t-v)) F(v) dv``, advanced exactly per step
     for piecewise-linear ``F``. Then ``survival = exp(-lambda0*I - mu*J)``
@@ -169,10 +169,6 @@ class FirstPassageLaw:
         )
         return float(out[0]) if np.isscalar(t) else out
 
-    def pdf(self, t) -> np.ndarray:
-        """Density of the first exceedance: hazard times survival."""
-        return self.hazard(t) * self.survival(t)
-
     def curve(self, times) -> LifetimeCurve:
         times = np.asarray(times, float)
         return LifetimeCurve(
@@ -216,27 +212,6 @@ def _cached_first_passage(
 def first_passage_law(spec: SystemSpec, threshold: float, t_max: float) -> FirstPassageLaw:
     """Cached law of the first time any process exceeds ``threshold``."""
     return _cached_first_passage(spec.arrivals, spec.growth, float(threshold), float(t_max))
-
-
-def _law_call(method: str, spec: SystemSpec, threshold: float, t, t_max: float | None):
-    # The law's grid reaches t_max, by default a quarter past the latest time.
-    t_arr = np.atleast_1d(np.asarray(t, float))
-    cap = float(t_max) if t_max is not None else max(1.0, 1.25 * float(t_arr.max()))
-    out = getattr(first_passage_law(spec, threshold, cap), method)(t_arr)
-    return float(out[0]) if np.isscalar(t) else out
-
-
-def first_passage_survival(spec: SystemSpec, threshold: float, t, t_max: float | None = None):
-    """Survival of the first exceedance of ``threshold``; 1 at t = 0."""
-    return _law_call("survival", spec, threshold, t, t_max)
-
-
-def first_passage_hazard(spec: SystemSpec, threshold: float, t, t_max: float | None = None):
-    return _law_call("hazard", spec, threshold, t, t_max)
-
-
-def hazard_derivative(spec: SystemSpec, threshold: float, t, t_max: float | None = None):
-    return _law_call("hazard_derivative", spec, threshold, t, t_max)
 
 
 def hazard_limit(params: ShotNoiseParams) -> float:
@@ -414,10 +389,3 @@ def simulate_first_passage_batch(
         out[inside] = first[inside]
     return out
 
-
-def simulate_first_passage(
-    spec: SystemSpec, threshold: float, horizon: float, rng: np.random.Generator
-) -> float | None:
-    """One first-exceedance time, or ``None`` if censored at the horizon."""
-    t = simulate_first_passage_batch(spec, threshold, horizon, 1, rng)[0]
-    return None if np.isnan(t) else float(t)

@@ -1,9 +1,8 @@
 """Gamma-family special functions and quadrature primitives.
 
-Every analytic formula in the package funnels through this module: the
-incomplete gamma ratios behind hitting-time laws, the generalized
-incomplete-gamma difference behind the random-effects density, and an
-adaptive quadrature with explicit failure reporting.
+The gamma density, the generalized incomplete-gamma difference behind the
+random-effects density and likelihood, the shared Gauss-Legendre tables,
+and an adaptive quadrature with explicit failure reporting.
 """
 
 from __future__ import annotations
@@ -52,67 +51,12 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _check_shape_x(shape: ArrayLike, x: ArrayLike) -> None:
-    if np.any(np.asarray(shape) <= 0):
-        raise ValidationError("shape parameter must be positive")
-    if np.any(np.asarray(x) < 0):
-        raise ValidationError("argument x must be non-negative")
-
-
-def log_upper_incomplete_gamma(shape: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """log of the upper incomplete gamma integral.
-
-    The log of the regularized ratio comes from ``gammaincc`` above the
-    median and from ``log1p(-gammainc)`` below it, where the ratio is near 1.
-    """
-    _check_shape_x(shape, x)
-    shape_a = np.asarray(shape, float)
-    x_a = np.asarray(x, float)
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(
-            x_a > sp.gammaincinv(shape_a, 0.5),
-            np.log(sp.gammaincc(shape_a, x_a)),
-            np.log1p(-sp.gammainc(shape_a, x_a)),
-        )
-    return sp.gammaln(shape) + log_ratio
-
-
-def upper_incomplete_gamma(shape: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """Upper incomplete gamma integral over ``(x, inf)``.
-
-    Computed in log space so that large shapes only overflow when the true
-    value exceeds the double range (the result is then ``inf``). Equals the
-    complete gamma function at ``x = 0`` and decreases monotonically in ``x``.
-    """
-    with np.errstate(over="ignore"):
-        out = np.exp(log_upper_incomplete_gamma(shape, x))
-    return float(out) if np.isscalar(shape) and np.isscalar(x) else out
-
-
-def regularized_upper_gamma(shape: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """Regularized upper incomplete gamma ratio, in ``[0, 1]``."""
-    _check_shape_x(shape, x)
-    out = sp.gammaincc(shape, x)
-    return float(out) if np.isscalar(shape) and np.isscalar(x) else out
-
-
-def regularized_lower_gamma(shape: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """Regularized lower incomplete gamma ratio, in ``[0, 1]``."""
-    _check_shape_x(shape, x)
-    out = sp.gammainc(shape, x)
-    return float(out) if np.isscalar(shape) and np.isscalar(x) else out
-
-
-def _check_gamma_params(shape: ArrayLike, rate: ArrayLike) -> None:
+def gamma_pdf(shape: ArrayLike, rate: ArrayLike, x: ArrayLike) -> ArrayLike:
+    """Density of the gamma distribution in shape/rate parametrization."""
     if np.any(np.asarray(shape) <= 0):
         raise ValidationError("gamma shape must be positive")
     if np.any(np.asarray(rate) <= 0):
         raise ValidationError("gamma rate must be positive")
-
-
-def gamma_pdf(shape: ArrayLike, rate: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """Density of the gamma distribution in shape/rate parametrization."""
-    _check_gamma_params(shape, rate)
     if np.any(np.asarray(x) < 0):
         raise ValidationError("gamma density argument must be non-negative")
     shape_a, rate_a, x_a = np.broadcast_arrays(
@@ -131,17 +75,6 @@ def gamma_pdf(shape: ArrayLike, rate: ArrayLike, x: ArrayLike) -> ArrayLike:
     at_zero = ~pos
     out[at_zero & (shape_a == 1.0)] = rate_a[at_zero & (shape_a == 1.0)]
     out[at_zero & (shape_a < 1.0)] = np.inf
-    if np.isscalar(shape) and np.isscalar(rate) and np.isscalar(x):
-        return float(out)
-    return out
-
-
-def gamma_cdf(shape: ArrayLike, rate: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """Distribution function of the gamma law in shape/rate parametrization."""
-    _check_gamma_params(shape, rate)
-    if np.any(np.asarray(x) < 0):
-        raise ValidationError("gamma cdf argument must be non-negative")
-    out = sp.gammainc(shape, np.asarray(rate, float) * np.asarray(x, float))
     if np.isscalar(shape) and np.isscalar(rate) and np.isscalar(x):
         return float(out)
     return out

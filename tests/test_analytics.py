@@ -46,13 +46,16 @@ class TestSeries:
 
 class TestWindowPartition:
     def test_window_mass_is_first_crossing_mass(self, quantities):
-        # P_p + P_c per window equals the survival drop across the window
-        law = first_passage_law(SPEC, POLICY.preventive_threshold, 40 * POLICY.inspection_period)
+        # P_p + P_c per window equals the survival drop across the window,
+        # also at M = L, where the first crossing is the failure
         T = POLICY.inspection_period
-        for k in range(len(quantities.preventive_probs)):
-            drop = float(law.survival(k * T)) - float(law.survival((k + 1) * T))
-            got = quantities.preventive_probs[k] + quantities.corrective_probs[k]
-            assert got == pytest.approx(drop, abs=1e-7)
+        pure = analytic_cycle_quantities(SPEC, PolicyParams(T, SPEC.failure_threshold), k_max=6)
+        for q, M in [(quantities, POLICY.preventive_threshold), (pure, SPEC.failure_threshold)]:
+            law = first_passage_law(SPEC, M, 40 * T)
+            for k in range(len(q.preventive_probs)):
+                drop = float(law.survival(k * T)) - float(law.survival((k + 1) * T))
+                got = q.preventive_probs[k] + q.corrective_probs[k]
+                assert got == pytest.approx(drop, abs=1e-7)
 
     def test_total_mass_below_one(self, quantities):
         total = quantities.total_preventive + quantities.total_corrective
@@ -74,8 +77,9 @@ class TestWindowPartition:
 class TestFirstWindow:
     # No process can be at M before the first inspection, so the first
     # window ends corrective exactly when the failure level is reached by T,
-    # and its downtime is the time spent failed before T.
-    CELLS = [POLICY, PolicyParams(9.0, 1.0)]
+    # and its downtime is the time spent failed before T. At M = L every
+    # window is split this way.
+    CELLS = [POLICY, PolicyParams(9.0, 1.0), PolicyParams(19.0 / 3.0, 10.0)]
 
     @pytest.fixture(scope="class")
     def failure_law(self):

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shotgamma import analytics, cli, degradation, lifetime, maintenance
 from shotgamma.cli import main
 from shotgamma.config import load_config, parse_config
 from shotgamma.degradation import GammaModel, simulate_observation_paths, write_observations_csv
@@ -253,3 +255,25 @@ class TestValidate:
         assert rc == 1
         assert "FAIL" in captured.out
         assert "lifetime_mc_overlay" in captured.err or "lifetime_mc_overlay" in captured.out
+
+
+class TestTracedRun:
+    def test_install_and_uninstall_restore_every_name(self, monkeypatch):
+        # The benchmark's traced run (shotbench/run.py --trace 1) rebinds names
+        # in these namespaces: install raises AttributeError if one is gone,
+        # and uninstall must put back the very objects it replaced.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "shotbench"))
+        import tracing
+
+        spaces = [cli, analytics, degradation, lifetime, maintenance,
+                  lifetime.HittingTimeSampler, analytics.PolicyAnalytics]
+        before = [dict(vars(ns)) for ns in spaces]
+        uninstall = tracing.install(tracing.Tracer())
+        try:
+            assert any(vars(ns)[k] is not v for ns, old in zip(spaces, before) for k, v in old.items())
+        finally:
+            uninstall()
+        for ns, old in zip(spaces, before):
+            now = dict(vars(ns))
+            assert now.keys() == old.keys()
+            assert [k for k, v in old.items() if now[k] is not v] == []

@@ -11,10 +11,8 @@ from shotgamma.degradation import (
     GammaModel,
     difference_pdf,
     UniformInverseScale,
-    delta_hitting_survival,
     fit_half_width,
     hitting_cdf,
-    hitting_pdf,
     log_likelihood,
     matched_variance_comparison,
     random_effect_hitting_cdf,
@@ -27,9 +25,10 @@ from shotgamma.degradation import (
 from shotgamma import special
 from shotgamma.errors import NumericalError, ValidationError
 from shotgamma.lifetime import HittingLaw
-from shotgamma.special import gamma_pdf, regularized_upper_gamma
+from shotgamma.special import gamma_pdf
 
 RE_MODEL = GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1)
+DET_MODEL = GammaModel.deterministic(1.1, 1.4)
 
 
 class TestScale:
@@ -64,7 +63,7 @@ class TestHittingLaw:
 
     def test_equals_regularized_gamma(self):
         assert hitting_cdf(1.0, 1.0, 10.0, 10.0) == pytest.approx(
-            regularized_upper_gamma(10.0, 10.0), rel=1e-14
+            sp.gammaincc(10.0, 10.0), rel=1e-14
         )
 
     def test_monotone(self):
@@ -72,16 +71,16 @@ class TestHittingLaw:
         assert np.all(np.diff(hitting_cdf(1.1, 1.4, 10.0, ts)) > 0)
 
     def test_pdf_integrates_to_one(self):
-        total, _ = quad(lambda t: hitting_pdf(1.1, 1.4, 10.0, t), 1e-6, 80.0, limit=200)
+        total, _ = quad(lambda t: HittingLaw(DET_MODEL, 10.0).pdf(t), 1e-6, 80.0, limit=200)
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_pdf_nonnegative(self):
         ts = np.random.default_rng(4).uniform(0.5, 40.0, size=200)
-        assert np.all(hitting_pdf(1.1, 1.4, 10.0, ts) >= 0)
+        assert np.all(HittingLaw(DET_MODEL, 10.0).pdf(ts) >= 0)
 
     def test_cdf_reconstructed_from_pdf(self):
         for t in [8.0, 13.0, 20.0]:
-            val, _ = quad(lambda u: hitting_pdf(1.1, 1.4, 10.0, u), 1e-6, t, limit=200)
+            val, _ = quad(lambda u: HittingLaw(DET_MODEL, 10.0).pdf(u), 1e-6, t, limit=200)
             assert val == pytest.approx(hitting_cdf(1.1, 1.4, 10.0, t), abs=1e-4)
 
     def test_grid_crossing_converges_to_law(self):
@@ -114,12 +113,12 @@ class TestHittingLaw:
         with pytest.raises(ValidationError):
             hitting_cdf(1.0, 1.0, -1.0, 1.0)
         with pytest.raises(ValidationError):
-            hitting_pdf(1.0, 1.0, 1.0, 0.0)
+            HittingLaw(GammaModel.deterministic(1.0, 1.0), 1.0).pdf(0.0)
 
 
 class TestDeltaHittingLaw:
     def test_one_at_zero(self):
-        assert delta_hitting_survival(1.1, 1.4, 6.0, 10.0, 0.0) == 1.0
+        assert DeltaHittingLaw(1.1, 1.4, 6.0, 10.0).survival(0.0) == 1.0
 
     def test_tight_gap_collapses(self):
         law = DeltaHittingLaw(1.0, 1.0, 6.0, 6.05)
@@ -128,7 +127,7 @@ class TestDeltaHittingLaw:
 
     def test_monotone_non_increasing(self):
         ts = np.linspace(0.0, 40.0, 300)
-        s = delta_hitting_survival(1.1, 1.4, 6.0, 10.0, ts)
+        s = DeltaHittingLaw(1.1, 1.4, 6.0, 10.0).survival(ts)
         assert np.all(np.diff(s) <= 1e-12)
 
     def test_overshoot_tail_is_normalized(self):
@@ -151,10 +150,11 @@ class TestDeltaHittingLaw:
             gaps.append(((i_l - i_m) * h)[keep])
         gaps = np.concatenate(gaps)
         assert gaps.size > 99_000
+        law = DeltaHittingLaw(alpha, rate, M, L)
         for t in [0.5, 1.0, 3.0, 5.0, 8.0]:
             emp = np.mean(gaps > t)
             se = max(np.sqrt(emp * (1 - emp) / gaps.size), 1e-4)
-            ana = delta_hitting_survival(alpha, rate, M, L, t)
+            ana = law.survival(t)
             assert abs(ana - emp) <= 3 * se + h, (t, ana, emp)
 
     def test_level_order_validation(self):

@@ -11,12 +11,8 @@ from shotgamma.lifetime import (
     SystemSpec,
     displaced_expected_intensity,
     expected_exceedances,
-    first_passage_hazard,
     first_passage_law,
-    first_passage_survival,
-    hazard_derivative,
     hazard_limit,
-    simulate_first_passage,
     simulate_first_passage_batch,
 )
 from shotgamma.special import integrate
@@ -94,13 +90,13 @@ class TestExpectedExceedances:
 
 class TestFirstPassageSurvival:
     def test_one_at_zero(self):
-        assert first_passage_survival(SPEC, 10.0, 0.0, t_max=25.0) == 1.0
+        assert first_passage_law(SPEC, 10.0, 25.0).survival(0.0) == 1.0
 
     def test_poisson_closed_form(self):
         spec = SystemSpec(ShotNoiseParams(1.0, 0.0, 0.5), GROWTH, 10.0)
         for t in [5.0, 12.0, 18.0]:
             closed = np.exp(-integrate(lambda u: hitting_cdf(1.1, 1.4, 10.0, u), 0.0, t))
-            assert first_passage_survival(spec, 10.0, t, t_max=20.0) == pytest.approx(
+            assert first_passage_law(spec, 10.0, 20.0).survival(t) == pytest.approx(
                 closed, abs=1e-8
             )
 
@@ -118,8 +114,8 @@ class TestFirstPassageSurvival:
 
     def test_threshold_monotonicity(self):
         ts = np.linspace(0.5, 20.0, 30)
-        s_low = first_passage_survival(SPEC, 6.0, ts, t_max=25.0)
-        s_high = first_passage_survival(SPEC, 10.0, ts, t_max=25.0)
+        s_low = first_passage_law(SPEC, 6.0, 25.0).survival(ts)
+        s_high = first_passage_law(SPEC, 10.0, 25.0).survival(ts)
         assert np.all(s_low <= s_high + 1e-12)
 
     def test_matches_simulation(self):
@@ -134,10 +130,10 @@ class TestFirstPassageSurvival:
 
 class TestHazard:
     def test_zero_at_origin(self):
-        assert first_passage_hazard(SPEC, 10.0, 0.0, t_max=25.0) == pytest.approx(0.0, abs=1e-12)
+        assert first_passage_law(SPEC, 10.0, 25.0).hazard(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_ifr_benchmark_scenario(self):
-        hd = hazard_derivative(SPEC, 10.0, np.linspace(0.1, 30.0, 300), t_max=40.0)
+        hd = first_passage_law(SPEC, 10.0, 40.0).hazard_derivative(np.linspace(0.1, 30.0, 300))
         assert np.min(hd) >= -1e-10
 
     def test_ifr_randomized_parameters(self):
@@ -147,7 +143,7 @@ class TestHazard:
             growth = GammaModel.deterministic(rng.uniform(0.5, 2), rng.uniform(0.5, 2))
             L = rng.uniform(3, 12)
             spec = SystemSpec(params, growth, L)
-            hd = hazard_derivative(spec, L, np.linspace(0.1, 30.0, 120), t_max=40.0)
+            hd = first_passage_law(spec, L, 40.0).hazard_derivative(np.linspace(0.1, 30.0, 120))
             assert np.min(hd) >= -1e-10
 
     def test_consistency_with_log_survival_slope(self):
@@ -174,7 +170,7 @@ class TestHazard:
 class TestSampling:
     def test_censored_when_no_arrivals(self):
         spec = SystemSpec(ShotNoiseParams(0.0, 0.0, 0.5), GROWTH, 10.0)
-        assert simulate_first_passage(spec, 10.0, 5.0, np.random.default_rng(4)) is None
+        assert np.isnan(simulate_first_passage_batch(spec, 10.0, 5.0, 1, np.random.default_rng(4))[0])
 
     def test_probability_integral_transform(self):
         sampler = HittingTimeSampler(GROWTH, 10.0)
