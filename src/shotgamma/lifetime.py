@@ -89,13 +89,7 @@ class FirstPassageLaw:
     ``hazard = lambda0*F + mu*(1 - exp(-q))``.
     """
 
-    def __init__(
-        self,
-        arrivals: ShotNoiseParams,
-        law: HittingLaw,
-        t_max: float,
-        n_grid: int | None = None,
-    ):
+    def __init__(self, arrivals: ShotNoiseParams, law: HittingLaw, t_max: float):
         # imported on first use: scipy.interpolate adds about 26 MB to a process
         from scipy.interpolate import PchipInterpolator
 
@@ -104,8 +98,7 @@ class FirstPassageLaw:
         self.arrivals = arrivals
         self.law = law
         self.t_max = float(t_max)
-        if n_grid is None:
-            n_grid = int(np.clip(t_max / 0.005, 4096, 60000))
+        n_grid = int(np.clip(t_max / 0.005, 4096, 60000))
         ts = np.linspace(0.0, t_max, n_grid + 1)
         h = ts[1] - ts[0]
         F = law.cdf(ts)
@@ -119,55 +112,53 @@ class FirstPassageLaw:
         self._c2_interp = PchipInterpolator(ts, arrivals.mu * J)
         self._q_interp = PchipInterpolator(ts, q)
 
-    def _check_range(self, t_arr: np.ndarray) -> None:
+    def _at(self, t, evaluate):
+        """``evaluate(t, t clipped to the cached range)`` after a range check.
+
+        A scalar ``t`` gives a float, or a tuple of floats.
+        """
+        t_arr = np.atleast_1d(np.asarray(t, float))
         if np.any(t_arr < 0) or np.any(t_arr > self.t_max + 1e-9):
             raise ValidationError(f"time outside cached range [0, {self.t_max}]")
+        out = evaluate(t_arr, np.clip(t_arr, 0.0, self.t_max))
+        if not np.isscalar(t):
+            return out
+        return tuple(float(v[0]) for v in out) if isinstance(out, tuple) else float(out[0])
 
     def survival(self, t) -> np.ndarray:
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        self._check_range(t_arr)
-        tc = np.clip(t_arr, 0.0, self.t_max)
-        out = np.exp(-(self._c1_interp(tc) + self._c2_interp(tc)))
-        return float(out[0]) if np.isscalar(t) else out
+        return self._at(t, lambda _, tc: np.exp(-(self._c1_interp(tc) + self._c2_interp(tc))))
 
     def factors(self, t) -> tuple[np.ndarray, np.ndarray]:
         """The base-level and shock survival factors, each in (0, 1]."""
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        self._check_range(t_arr)
-        tc = np.clip(t_arr, 0.0, self.t_max)
-        c1 = np.exp(-self._c1_interp(tc))
-        c2 = np.exp(-self._c2_interp(tc))
-        if np.isscalar(t):
-            return float(c1[0]), float(c2[0])
-        return c1, c2
+        return self._at(
+            t, lambda _, tc: (np.exp(-self._c1_interp(tc)), np.exp(-self._c2_interp(tc)))
+        )
 
     def exposures(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``lambda0*I``, ``mu*J`` and ``q`` at ``t`` (see the class docstring)."""
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        self._check_range(t_arr)
-        tc = np.clip(t_arr, 0.0, self.t_max)
-        return self._c1_interp(tc), self._c2_interp(tc), self._q_interp(tc)
+        return self._at(
+            t, lambda _, tc: (self._c1_interp(tc), self._c2_interp(tc), self._q_interp(tc))
+        )
 
     def hazard(self, t) -> np.ndarray:
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        self._check_range(t_arr)
-        q = self._q_interp(np.clip(t_arr, 0.0, self.t_max))
-        out = self.arrivals.lambda0 * self.law.cdf(t_arr) - self.arrivals.mu * np.expm1(-q)
-        return float(out[0]) if np.isscalar(t) else out
+        return self._at(
+            t,
+            lambda t_arr, tc: self.arrivals.lambda0 * self.law.cdf(t_arr)
+            - self.arrivals.mu * np.expm1(-self._q_interp(tc)),
+        )
 
     def hazard_derivative(self, t) -> np.ndarray:
         """Closed-form hazard slope; non-negative for every parameter set."""
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        self._check_range(t_arr)
-        t_pos = np.maximum(t_arr, 1e-12)
-        q = self._q_interp(np.clip(t_arr, 0.0, self.t_max))
-        F = self.law.cdf(t_arr)
-        f = self.law.pdf(t_pos)
-        # d/dt of the decayed convolution collapses to F - delta*q.
-        out = self.arrivals.lambda0 * f + self.arrivals.mu * np.exp(-q) * (
-            F - self.arrivals.delta * q
-        )
-        return float(out[0]) if np.isscalar(t) else out
+
+        def slope(t_arr, tc):
+            q = self._q_interp(tc)
+            f = self.law.pdf(np.maximum(t_arr, 1e-12))
+            # d/dt of the decayed convolution collapses to F - delta*q.
+            return self.arrivals.lambda0 * f + self.arrivals.mu * np.exp(-q) * (
+                self.law.cdf(t_arr) - self.arrivals.delta * q
+            )
+
+        return self._at(t, slope)
 
     def curve(self, times) -> LifetimeCurve:
         times = np.asarray(times, float)
@@ -260,8 +251,10 @@ def expected_exceedances(spec: SystemSpec, threshold: float, t) -> float:
 class HittingTimeSampler:
     """Inverse-transform sampler of hitting times from the exact CDF.
 
-    Bracketed vectorized bisection tightened by secant steps, to 1e-10 in
-    probability; path discretization never enters lifetime studies.
+    ``F(t) = Q(alpha*t, rate*L)`` is inverted in its shape argument by
+    ``scipy.special.gdtrib``, to about 1e-15 in probability, for a shared
+    rate and per-draw rates alike; path discretization never enters
+    lifetime studies.
 
     With a ``limit`` (scalar or one per draw) only the times that can be at
     most their limit are inverted; a time that provably exceeds it reads
@@ -279,87 +272,21 @@ class HittingTimeSampler:
         return self.invert(u, rates, limit)
 
     def invert(self, u: np.ndarray, rates: np.ndarray, limit=None) -> np.ndarray:
+        alpha = self.growth.shape_rate
         x = rates * self.threshold
-        if np.ptp(x) == 0.0:
-            return self._invert_common(u, float(x.flat[0]), limit)
-        return self._invert_bisect(u, x, limit)
-
-    def _invert_common(self, u: np.ndarray, x: float, limit) -> np.ndarray:
-        # Shared CDF: bracket on a fine precomputed grid, one full regula
-        # falsi sweep, then masked sweeps for whatever points remain.
-        alpha = self.growth.shape_rate
-        s_hi = x + 50.0 * np.sqrt(x) + 60.0
-        s_grid = np.concatenate(
-            [np.geomspace(max(x, 1.0) * 1e-3, max(x / 3.0, 1e-2), 512),
-             np.linspace(max(x / 3.0, 1e-2) + 1e-9, s_hi, 16384)]
-        )
-        f_grid = sp.gammaincc(s_grid, x)
-        rising = np.concatenate(([True], np.diff(f_grid) > 0))
-        s_grid, f_grid = s_grid[rising], f_grid[rising]
         out = np.full(u.shape, np.inf)
         rows = slice(None)
-        if limit is not None:
-            # Regula falsi never leaves its bracket's lower end (0 below the
-            # grid), so a lower end past alpha*limit proves the time exceeds
-            # it. Uniforms above f_grid[j], s_grid[j] being the first grid
-            # point past the largest alpha*limit, have their lower end at or
-            # past it and need no search (unless j is the clipped last bracket).
-            s_limit = alpha * np.broadcast_to(np.asarray(limit, float), u.shape)
-            j = np.searchsorted(s_grid, s_limit.max(), side="right")
-            rows = np.flatnonzero(u <= f_grid[j]) if j < len(f_grid) - 1 else np.arange(u.size)
-            found = np.searchsorted(f_grid, u[rows])
-            idx = np.clip(found, 1, len(f_grid) - 1)
-            lower = np.where(found > 0, s_grid[idx - 1], 0.0)
-            reach = lower <= s_limit[rows]
-            rows, u, idx = rows[reach], u[rows[reach]], idx[reach]
-        else:
-            idx = np.clip(np.searchsorted(f_grid, u), 1, len(f_grid) - 1)
-        lo, hi = s_grid[idx - 1], s_grid[idx]
-        f_lo, f_hi = f_grid[idx - 1], f_grid[idx]
-        s = lo + (u - f_lo) / np.maximum(f_hi - f_lo, 1e-300) * (hi - lo)
-        f_s = sp.gammaincc(s, x)
-        pending = np.flatnonzero(np.abs(f_s - u) >= 1e-10)
-        for _ in range(30):
-            if pending.size == 0:
-                break
-            err = f_s[pending] - u[pending]
-            below = err < 0
-            lo[pending] = np.where(below, s[pending], lo[pending])
-            f_lo[pending] = np.where(below, f_s[pending], f_lo[pending])
-            hi[pending] = np.where(below, hi[pending], s[pending])
-            f_hi[pending] = np.where(below, f_hi[pending], f_s[pending])
-            s[pending] = lo[pending] + (u[pending] - f_lo[pending]) / np.maximum(
-                f_hi[pending] - f_lo[pending], 1e-300
-            ) * (hi[pending] - lo[pending])
-            f_s[pending] = sp.gammaincc(s[pending], x)
-            pending = pending[np.abs(f_s[pending] - u[pending]) >= 1e-10]
-        out[rows] = s / alpha
-        return out
-
-    def _invert_bisect(self, u: np.ndarray, x: np.ndarray, limit) -> np.ndarray:
-        alpha = self.growth.shape_rate
-
-        def cdf_at(t, x):
-            return sp.gammaincc(alpha * np.maximum(t, 1e-300), x)
-
-        out = np.full(u.shape, np.inf)
-        rows = slice(None)
-        if limit is not None:
-            # A uniform above F(limit), less the inversion's tolerance in
-            # probability, has its time beyond the limit; F is largest at the
-            # largest limit and the smallest x.
-            limit = np.broadcast_to(np.asarray(limit, float), u.shape)
-            rows = np.flatnonzero(u <= cdf_at(limit.max(), x.min()) + 1e-10)
-            rows = rows[u[rows] <= cdf_at(limit[rows], x[rows]) + 1e-10]
-            u, x = u[rows], x[rows]
-        hi = (x + 50.0 * np.sqrt(x) + 60.0) / alpha
-        lo = np.zeros_like(u)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            below = cdf_at(mid, x) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[rows] = 0.5 * (lo + hi)
+        if limit is not None and u.size:
+            # F rises in t and falls in x, so F at the smallest x and at the
+            # table time top*j/32 next at or past a draw's limit bounds
+            # F(limit) from above; 1e-10 covers the inversion's error. Times
+            # are non-negative, so a negative limit screens as 0.
+            limit = np.maximum(np.asarray(limit, float), 0.0)
+            top = limit.max()
+            bound = sp.gammaincc(alpha * top * np.arange(33) / 32, x.min())
+            at = np.ceil(32 * limit / top).astype(np.intp) if top > 0 else 0
+            rows = np.flatnonzero(u <= bound[at] + 1e-10)
+        out[rows] = sp.gdtrib(1.0, 1.0 - u[rows], x[rows]) / alpha
         return out
 
 

@@ -19,6 +19,7 @@ from shotgamma.special import integrate
 
 PARAMS = ShotNoiseParams(1.0, 2.0, 0.5)
 GROWTH = GammaModel.deterministic(1.1, 1.4)
+RE_GROWTH = GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1)
 SPEC = SystemSpec(PARAMS, GROWTH, 10.0)
 
 
@@ -179,15 +180,17 @@ class TestSampling:
         pit = sp.gammaincc(1.1 * draws, 1.4 * 10.0)
         assert kstest(pit, "uniform").pvalue > 0.01
 
-    def test_random_effects_sampler_inverts(self):
-        growth = GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1)
+    @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
+    @pytest.mark.parametrize("rate_threshold", [1e-12, 14.0, 1e7])
+    def test_random_effects_sampler_inverts(self, growth, rate_threshold):
         sampler = HittingTimeSampler(growth, 10.0)
         rng = np.random.default_rng(6)
         u = rng.uniform(size=4000)
-        rates = 1.0 / rng.uniform(1 / 1.4 - 0.1, 1 / 1.4 + 0.1, size=4000)
+        rates = growth.draw_rates(rng, u.size) * (rate_threshold / 14.0)
         t = sampler.invert(u, rates)
+        assert np.all(np.isfinite(t))
         err = np.abs(sp.gammaincc(1.1 * t, rates * 10.0) - u)
-        assert err.max() < 1e-9
+        assert err.max() <= 1e-12
 
 
 class TestCurveOutput:
@@ -210,23 +213,28 @@ def _unscreened_batch(spec, threshold, horizon, n, rng):
     return np.where(first <= horizon, first, np.nan)
 
 
-RE_GROWTH = GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1)
-
-
 class TestScreenedSampler:
     @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
     @pytest.mark.parametrize("horizon", [10.0, 0.5])
     def test_equals_unscreened_element_by_element(self, growth, horizon):
         sampler = HittingTimeSampler(growth, 10.0)
-        limit = horizon - np.random.default_rng(20).uniform(0.0, horizon, 6000)
-        full = sampler.sample(np.random.default_rng(21), limit.size)
-        screened = sampler.sample(np.random.default_rng(21), limit.size, limit=limit)
-        kept = np.isfinite(screened)
-        np.testing.assert_array_equal(screened[kept], full[kept])
-        assert np.all(full[~kept] > limit[~kept])
-        assert np.all(kept[full <= limit])
-        if horizon < 1.0:
-            assert kept.mean() < 0.01
+        drawn = horizon - np.random.default_rng(20).uniform(0.0, horizon, 6000)
+        # also limits on the screen table's steps top*j/32, one scalar limit
+        # for 6000 draws, all-zero limits, limits down to -10 horizons and a
+        # draw of size 0
+        on_steps = np.tile(horizon * np.arange(33) / 32, 100)
+        below_zero = horizon * np.linspace(-10.0, 1.0, 500)
+        for given, size in [(drawn, 6000), (on_steps, on_steps.size), (horizon, 6000),
+                            (np.zeros(500), 500), (below_zero, 500), (np.empty(0), 0)]:
+            full = sampler.sample(np.random.default_rng(21), size)
+            screened = sampler.sample(np.random.default_rng(21), size, limit=given)
+            limit = np.broadcast_to(given, full.shape)
+            kept = np.isfinite(screened)
+            np.testing.assert_array_equal(screened[kept], full[kept])
+            assert np.all(full[~kept] > limit[~kept])
+            assert np.all(kept[full <= limit])
+            if horizon < 1.0 and given is drawn:
+                assert kept.mean() < 0.01
 
     @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
     def test_extreme_uniforms(self, growth):
