@@ -92,6 +92,8 @@ class PolicyAnalytics:
     def __init__(self, spec: SystemSpec, policy: PolicyParams, k_max: int = 8, tol: float = 1e-6):
         if k_max < 1:
             raise ValidationError("k_max must be at least 1")
+        if not 0.0 < tol < 1.0:
+            raise ValidationError(f"tol must lie in (0, 1), got {tol}")
         policy.validate_against(spec)
         self.spec = spec
         self.policy = policy
@@ -278,7 +280,8 @@ def analytic_cycle_quantities(
     deficit = float(eng._survival[n_windows])
     if deficit > 10 * tol:
         raise NumericalError(
-            f"window series truncated with deficit {deficit:.3e} > 10*tol; raise k_max"
+            f"window series truncated at k_max={k_max} (T={policy.inspection_period:g}, "
+            f"M={policy.preventive_threshold:g}) with deficit {deficit:.3e} > 10*tol; raise k_max"
         )
     return CycleAnalytics(
         expected_cycle_length=e_r,

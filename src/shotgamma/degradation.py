@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import NumericalError, ValidationError
-from .special import gamma_pdf, leggauss, log_gamma_diff
+from .special import leggauss, log_gamma_diff
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +285,10 @@ class DeltaHittingLaw:
             # The tail value at the upper level is split off analytically so
             # the remaining integrand vanishes there; otherwise the density's
             # concentration at small times escapes any fixed node set.
-            dens = gamma_pdf(
-                shapes[:, None], self.rate, self.upper - self._y_nodes[None, :]
+            # Gamma(shapes, rate) density at the gaps upper - y, all positive
+            z = self.rate * (self.upper - self._y_nodes)
+            dens = self.rate * np.exp(
+                (shapes[:, None] - 1.0) * np.log(z) - z - sp.gammaln(shapes)[:, None]
             )
             excess = dens @ (self._y_weights * (self._y_tail - self._tail_at_upper))
             out[pos] = (1.0 - self._tail_at_upper) * head - excess

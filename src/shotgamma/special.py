@@ -1,8 +1,8 @@
 """Gamma-family special functions and quadrature primitives.
 
-The gamma density, the generalized incomplete-gamma difference behind the
-random-effects density and likelihood, the shared Gauss-Legendre tables,
-and an adaptive quadrature with explicit failure reporting.
+The generalized incomplete-gamma difference behind the random-effects
+density and likelihood, the shared Gauss-Legendre tables, and an adaptive
+quadrature (scipy's ``quad``) whose failures raise instead of warning.
 """
 
 from __future__ import annotations
@@ -30,54 +30,20 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and limits for adaptive quadrature.
-
-    ``tail_epsilon`` is the integrand cutoff used to truncate semi-infinite
-    ranges: integration stops once the integrand stays below it.
-    """
+    """Tolerances and subdivision limit (``max_depth``) for adaptive quadrature."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
     max_depth: int = 50
-    tail_epsilon: float = 1e-12
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.tail_epsilon <= 0:
+        if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValidationError("quadrature tolerances must be positive")
         if self.max_depth < 1:
             raise ValidationError("max_depth must be at least 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def gamma_pdf(shape: ArrayLike, rate: ArrayLike, x: ArrayLike) -> ArrayLike:
-    """Density of the gamma distribution in shape/rate parametrization."""
-    if np.any(np.asarray(shape) <= 0):
-        raise ValidationError("gamma shape must be positive")
-    if np.any(np.asarray(rate) <= 0):
-        raise ValidationError("gamma rate must be positive")
-    if np.any(np.asarray(x) < 0):
-        raise ValidationError("gamma density argument must be non-negative")
-    shape_a, rate_a, x_a = np.broadcast_arrays(
-        np.asarray(shape, float), np.asarray(rate, float), np.asarray(x, float)
-    )
-    out = np.zeros_like(x_a)
-    pos = x_a > 0
-    with np.errstate(divide="ignore"):
-        log_pdf = (
-            shape_a[pos] * np.log(rate_a[pos])
-            + (shape_a[pos] - 1.0) * np.log(x_a[pos])
-            - rate_a[pos] * x_a[pos]
-            - sp.gammaln(shape_a[pos])
-        )
-    out[pos] = np.exp(log_pdf)
-    at_zero = ~pos
-    out[at_zero & (shape_a == 1.0)] = rate_a[at_zero & (shape_a == 1.0)]
-    out[at_zero & (shape_a < 1.0)] = np.inf
-    if np.isscalar(shape) and np.isscalar(rate) and np.isscalar(x):
-        return float(out)
-    return out
 
 
 def log_gamma_diff(shape: ArrayLike, x1: ArrayLike, x2: ArrayLike) -> ArrayLike:
@@ -132,49 +98,6 @@ def _log_gamma_diff_quad(shape: float, x1: float, x2: float) -> float:
     return float(m + np.log(total))
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    abs_tol: float,
-    rel_tol: float,
-    depth: int,
-) -> float:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * max(abs_tol, rel_tol * abs(left + right)):
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise NumericalError(
-            f"adaptive quadrature did not converge on [{a}, {b}] "
-            f"(residual {abs(delta):.3e})"
-        )
-    half_tol = 0.5 * abs_tol
-    return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, half_tol, rel_tol, depth - 1
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, half_tol, rel_tol, depth - 1)
-
-
-def _integrate_finite(f, a: float, b: float, spec: QuadratureSpec) -> float:
-    if b <= a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(
-        f, a, b, fa, fm, fb, whole, spec.abs_tol, spec.rel_tol, spec.max_depth
-    )
-
-
 def integrate(
     f: Callable[[float], float],
     a: float,
@@ -183,30 +106,21 @@ def integrate(
 ) -> float:
     """Adaptive quadrature of ``f`` over ``(a, b)``, ``b`` possibly infinite.
 
-    Semi-infinite ranges are marched in geometrically growing blocks and
-    truncated once the integrand stays below ``spec.tail_epsilon`` and the
-    last block is negligible. Non-convergence raises
-    :class:`~shotgamma.errors.NumericalError` instead of returning silently.
+    One call of :func:`scipy.integrate.quad` with ``spec.max_depth`` as its
+    subdivision limit. The failure quad would report as an
+    ``IntegrationWarning`` (subdivision limit, roundoff, divergence) and a
+    non-finite result raise :class:`~shotgamma.errors.NumericalError`
+    instead of returning silently.
     """
-    if not np.isinf(b):
-        return _integrate_finite(f, float(a), float(b), spec)
-    total = 0.0
-    left = float(a)
-    width = 1.0
-    quiet_blocks = 0
-    for _ in range(200):
-        right = left + width
-        block = _integrate_finite(f, left, right, spec)
-        total += block
-        probes = np.abs([f(right), f(left + 0.5 * width), f(right + 0.5 * width)])
-        small_tail = np.all(probes < spec.tail_epsilon)
-        small_block = abs(block) < max(spec.abs_tol, spec.rel_tol * abs(total))
-        quiet_blocks = quiet_blocks + 1 if (small_tail and small_block) else 0
-        if quiet_blocks >= 2:
-            return total
-        left = right
-        width *= 2.0
-    raise NumericalError(
-        "semi-infinite quadrature did not reach the tail cutoff "
-        f"(integrand still {probes.max():.3e} at x={left:.3e})"
+    # lazy: keeps scipy.integrate out of the package import
+    from scipy.integrate import quad
+
+    # full_output returns quad's failure message in place of the warning
+    value, _, _, *failure = quad(
+        f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_depth, full_output=1
     )
+    if failure:
+        raise NumericalError(f"quadrature failed on [{a}, {b}]: {failure[0]}")
+    if not np.isfinite(value):
+        raise NumericalError(f"quadrature on [{a}, {b}] is not finite ({value})")
+    return float(value)

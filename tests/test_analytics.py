@@ -4,7 +4,7 @@ import pytest
 from shotgamma.analytics import PolicyAnalytics, analytic_cycle_quantities, cost_rate_analytic
 from shotgamma.arrivals import ShotNoiseParams
 from shotgamma.degradation import GammaModel
-from shotgamma.errors import ValidationError
+from shotgamma.errors import NumericalError, ValidationError
 from shotgamma.lifetime import SystemSpec, first_passage_law
 from shotgamma.maintenance import (
     CORRECTIVE,
@@ -42,6 +42,10 @@ class TestSeries:
 
     def test_truncation_deficit_small(self, quantities):
         assert quantities.truncation_deficit < 1e-5
+
+    def test_truncation_error_names_policy_and_cap(self):
+        with pytest.raises(NumericalError, match=r"k_max=8 \(T=1, M=5\) with deficit 1\.\d+e-02"):
+            analytic_cycle_quantities(SPEC, PolicyParams(1.0, 5.0))
 
 
 class TestWindowPartition:
@@ -129,6 +133,12 @@ class TestVoid:
 class TestCostRate:
     def test_zero_costs(self):
         assert cost_rate_analytic(SPEC, POLICY, CostRates(0, 0, 0, 0), k_max=4) == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # tol >= 1 leaves no window to price; no k_max meets a deficit bound of tol <= 0
+        with pytest.raises(ValidationError, match="tol"):
+            cost_rate_analytic(SPEC, PolicyParams(6.0, 5.0), COSTS, tol=tol)
 
     def test_pure_corrective_policy(self):
         # preventive threshold at the failure level: every replacement is

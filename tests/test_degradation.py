@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
+from scipy import stats
 from scipy.integrate import quad
 
 from shotgamma.degradation import (
@@ -25,7 +26,6 @@ from shotgamma.degradation import (
 from shotgamma import special
 from shotgamma.errors import NumericalError, ValidationError
 from shotgamma.lifetime import HittingLaw
-from shotgamma.special import gamma_pdf
 
 RE_MODEL = GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1)
 DET_MODEL = GammaModel.deterministic(1.1, 1.4)
@@ -171,7 +171,7 @@ class TestRandomEffects:
         narrow = GammaModel.uniform_inverse_scale(1.0, 1.0 - 1e-7, 1.0 + 1e-7)
         for u in [0.5, 2.0, 7.0]:
             assert random_effect_pdf(narrow, 5.0, u) == pytest.approx(
-                gamma_pdf(5.0, 1.0, u), rel=1e-5
+                stats.gamma.pdf(u, 5.0, scale=1.0), rel=1e-5
             )
 
     def test_pdf_matches_mixture_quadrature(self):
@@ -179,7 +179,7 @@ class TestRandomEffects:
         t = 5.0
         for u in [1.0, 4.0, 9.0, 15.0]:
             oracle, _ = quad(
-                lambda theta: gamma_pdf(t, 1.0 / theta, u), 1.0, 2.0, epsabs=1e-12
+                lambda theta: stats.gamma.pdf(u, t, scale=theta), 1.0, 2.0, epsabs=1e-12
             )
             assert random_effect_pdf(model, t, u) == pytest.approx(oracle, abs=1e-8)
 
@@ -188,7 +188,7 @@ class TestRandomEffects:
     def test_pdf_mixture_identity_randomized(self, t, u):
         model = GammaModel.uniform_inverse_scale(1.3, 0.6, 1.9)
         oracle, _ = quad(
-            lambda theta: gamma_pdf(1.3 * t, 1.0 / theta, u), 0.6, 1.9, epsabs=1e-13
+            lambda theta: stats.gamma.pdf(u, 1.3 * t, scale=theta), 0.6, 1.9, epsabs=1e-13
         )
         assert random_effect_pdf(model, t, u) == pytest.approx(oracle / (1.9 - 0.6), abs=1e-8)
 
@@ -291,7 +291,7 @@ class TestObservationsAndLikelihood:
         data = DegradationObservations(times=[[2.0]], levels=[[1.7]])
         c, eps = 0.9, 1e-7
         got = log_likelihood(1.2, c - eps, c + eps, data)
-        want = np.log(gamma_pdf(1.2 * 2.0, 1.0 / c, 1.7))
+        want = stats.gamma.logpdf(1.7, 1.2 * 2.0, scale=c)
         assert got == pytest.approx(want, abs=1e-5)
 
     def test_interior_minimum_on_simulated_data(self):

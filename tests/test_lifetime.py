@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 from scipy.stats import kstest
 
@@ -159,6 +160,22 @@ class TestHazard:
         assert hazard_limit(ShotNoiseParams(1.3, 0.0, 0.5)) == pytest.approx(1.3)
         # fast decay kills the shock contribution
         assert hazard_limit(ShotNoiseParams(1.0, 2.0, 1e9)) == pytest.approx(1.0, abs=1e-6)
+
+    @given(
+        st.booleans(),
+        st.floats(min_value=0.01, max_value=5.0),
+        st.floats(min_value=1e-3, max_value=50.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_single_source_edges_stay_in_range(self, shocks_only, rate, delta):
+        # lambda0 = 0 or mu = 0, with delta from very slow to very fast decay
+        params = ShotNoiseParams(0.0, rate, delta) if shocks_only else ShotNoiseParams(rate, 0.0, delta)
+        law = first_passage_law(SystemSpec(params, GROWTH, 10.0), 10.0, 40.0)
+        ts = np.linspace(0.0, 40.0, 400)
+        s, h = law.survival(ts), law.hazard(ts)
+        assert np.all((0.0 <= s) & (s <= 1.0))
+        assert np.all(np.diff(s) <= 0.0)
+        assert np.all((0.0 <= h) & (h <= hazard_limit(params)))
 
     def test_hazard_approaches_limit(self):
         # evaluate where the hitting CDF is within 1e-6 of one
