@@ -4,7 +4,9 @@ Shocks arrive as a homogeneous Poisson process and each shock adds an
 exponentially decaying bump to the arrival intensity on top of a constant
 base level. Degradation-process arrival times are sampled exactly by
 thinning against a piecewise-constant dominating rate; one kernel,
-:func:`thin_segments`, serves every sampler in the package.
+:func:`thin_segments`, serves every sampler of the arrival process itself
+(``lifetime.simulate_first_passage_batch`` draws only the arrivals that
+can fail, from the process's cluster form thinned by the hitting law).
 """
 
 from __future__ import annotations

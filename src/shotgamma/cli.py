@@ -97,7 +97,8 @@ def cmd_reliability(config: ExperimentConfig, args, outdir: Path) -> int:
     w = simulate_first_passage_batch(spec, spec.failure_threshold, horizon, config.n_trajectories, rng)
     limit = hazard_limit(spec.arrivals)
     curve = law.curve(ts)
-    mc_surv = np.array([1.0 - np.mean(w <= t) for t in ts])
+    failed = np.sort(w[np.isfinite(w)])
+    mc_surv = 1.0 - np.searchsorted(failed, ts, side="right") / w.size
     curve.write_csv(
         outdir / "lifetime.csv",
         extra_columns={"hazard_limit": np.full_like(ts, limit), "mc_survival": mc_surv},

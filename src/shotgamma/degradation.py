@@ -459,20 +459,43 @@ class DegradationObservations:
 
 
 def read_observations_csv(path) -> DegradationObservations:
-    """Load ``process_id,time,level`` rows; validation is strict per process."""
-    raw = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
-    names = raw.dtype.names
-    if names is None or set(names) != {"process_id", "time", "level"}:
-        raise ValidationError("observations CSV needs exactly process_id,time,level columns")
-    raw = np.atleast_1d(raw)
-    if raw.size == 0:
+    """Load ``process_id,time,level`` rows; validation is strict per process.
+
+    The header names the columns, in any order. Process ids order as
+    integers when they all parse as integers, else as floats, else as text.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    if not lines:
         raise ValidationError("observations CSV is empty")
+    names = [name.strip() for name in lines[0].split(",")]
+    if sorted(names) != ["level", "process_id", "time"]:
+        raise ValidationError("observations CSV needs exactly process_id,time,level columns")
+    rows = [line.split(",") for line in lines[1:]]
+    if not rows:
+        raise ValidationError("observations CSV is empty")
+    for i, row in enumerate(rows):
+        if len(row) != 3:
+            raise ValidationError(f"observations CSV data row {i + 1} has {len(row)} fields, not 3")
+    cols = dict(zip(names, zip(*rows)))
+    try:
+        times = np.array(cols["time"], dtype=float)
+        levels = np.array(cols["level"], dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"observations CSV has a non-numeric time or level: {exc}") from None
+    ids = [pid.strip() for pid in cols["process_id"]]
+    for kind in (np.int64, float, str):
+        try:
+            ids = np.array(ids, dtype=kind)
+        except (ValueError, OverflowError):
+            continue
+        break
     # One stable sort by (process_id, time), then a cut where the id changes.
-    order = np.lexsort((raw["time"], raw["process_id"]))
-    ids = raw["process_id"][order]
+    order = np.lexsort((times, ids))
+    ids = ids[order]
     cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
     return DegradationObservations(
-        times=np.split(raw["time"][order], cuts), levels=np.split(raw["level"][order], cuts)
+        times=np.split(times[order], cuts), levels=np.split(levels[order], cuts)
     )
 
 

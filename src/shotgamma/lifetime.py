@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .arrivals import ShotNoiseParams, expected_intensity, simulate_arrival_batch
+from .arrivals import ShotNoiseParams, expected_intensity
+from .arrivals import simulate_arrival_batch  # noqa: F401 -- shotbench/tracing.py rebinds it
 from .degradation import (
     DeterministicScale,
     GammaModel,
@@ -254,40 +255,55 @@ class HittingTimeSampler:
     ``F(t) = Q(alpha*t, rate*L)`` is inverted in its shape argument by
     ``scipy.special.gdtrib``, to about 1e-15 in probability, for a shared
     rate and per-draw rates alike; path discretization never enters
-    lifetime studies.
-
-    With a ``limit`` (scalar or one per draw) only the times that can be at
-    most their limit are inverted; a time that provably exceeds it reads
-    ``+inf``. The draws are the same with or without a limit, and every
-    inverted time is bit-identical to the unscreened one.
+    lifetime studies. ``F`` falls in the rate, so :meth:`cdf_bound`, ``F``
+    at the smallest rate the growth model allows (``beta``, or ``1/b``
+    under random effects), bounds the hitting probability of every process.
     """
 
     def __init__(self, growth: GammaModel, threshold: float):
+        if not threshold > 0:
+            raise ValidationError("threshold must be positive")
         self.growth = growth
         self.threshold = threshold
+        spec = growth.scale_spec
+        min_rate = spec.beta if isinstance(spec, DeterministicScale) else 1.0 / spec.b
+        self._x_lo = min_rate * threshold
 
-    def sample(self, rng: np.random.Generator, size: int, limit=None) -> np.ndarray:
+    def cdf_bound(self, t) -> np.ndarray:
+        """The largest hitting probability by ``t >= 0`` of any process."""
+        return sp.gammaincc(self.growth.shape_rate * t, self._x_lo)
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         rates = self.growth.draw_rates(rng, size)
         u = rng.uniform(size=size)
-        return self.invert(u, rates, limit)
+        return self.invert(u, rates)
 
-    def invert(self, u: np.ndarray, rates: np.ndarray, limit=None) -> np.ndarray:
-        alpha = self.growth.shape_rate
-        x = rates * self.threshold
-        out = np.full(u.shape, np.inf)
-        rows = slice(None)
-        if limit is not None and u.size:
-            # F rises in t and falls in x, so F at the smallest x and at the
-            # table time top*j/32 next at or past a draw's limit bounds
-            # F(limit) from above; 1e-10 covers the inversion's error. Times
-            # are non-negative, so a negative limit screens as 0.
-            limit = np.maximum(np.asarray(limit, float), 0.0)
-            top = limit.max()
-            bound = sp.gammaincc(alpha * top * np.arange(33) / 32, x.min())
-            at = np.ceil(32 * limit / top).astype(np.intp) if top > 0 else 0
-            rows = np.flatnonzero(u <= bound[at] + 1e-10)
-        out[rows] = sp.gdtrib(1.0, 1.0 - u[rows], x[rows]) / alpha
-        return out
+    def invert(self, u: np.ndarray, rates: np.ndarray) -> np.ndarray:
+        """The times ``t`` with ``F(t) = u`` at the given per-draw rates."""
+        return sp.gdtrib(1.0, 1.0 - u, rates * self.threshold) / self.growth.shape_rate
+
+
+_BINS = 32
+
+
+def _thin_falling(weight, scale: float, horizon: float, rng: np.random.Generator):
+    """Poisson points on ``[0, horizon]`` at intensity ``scale * weight(t)``.
+
+    ``weight`` must not increase. Each of 32 equal bins proposes at its
+    left-edge intensity and keeps a point with probability
+    ``weight(t) / weight(left edge)``; the strict comparison keeps no point
+    of zero weight. Returns the kept times and their weights.
+    """
+    width = horizon / _BINS
+    left = width * np.arange(_BINS)
+    bound = weight(left)
+    k = np.repeat(np.arange(_BINS), rng.poisson(scale * width * bound))
+    t = np.minimum(left[k] + width * rng.uniform(size=k.size), horizon)
+    w = weight(t)
+    if np.count_nonzero(w > bound[k] * (1 + 1e-12)):
+        raise AssertionError("thinning dominating bound violated")
+    keep = rng.uniform(size=t.size) * bound[k] < w
+    return t[keep], w[keep]
 
 
 def simulate_first_passage_batch(
@@ -295,24 +311,67 @@ def simulate_first_passage_batch(
 ) -> np.ndarray:
     """First exceedance times for ``n`` independent systems; NaN when censored.
 
-    Arrivals beyond the horizon cannot produce an exceedance inside it, so
-    simulating arrivals on ``[0, horizon]`` is exact. Only the hitting times
-    that can end inside the horizon are inverted; the screen's limit carries
-    a slack of 1e-12 horizons so that rounding ``arrival + time`` cannot bring
-    a screened time back inside.
-    """
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
-    sampler = HittingTimeSampler(spec.growth, threshold)
-    run_ids, arrivals_t = simulate_arrival_batch(spec.arrivals, horizon, n, rng)
-    out = np.full(n, np.nan)
-    if arrivals_t.size:
-        limit = (horizon - arrivals_t) + 1e-12 * horizon
-        sigma = sampler.sample(rng, arrivals_t.size, limit=limit)
-        hit = np.flatnonzero(np.isfinite(sigma))
-        first = np.full(n, np.inf)
-        np.minimum.at(first, run_ids[hit], arrivals_t[hit] + sigma[hit])
-        inside = first <= horizon
-        out[inside] = first[inside]
-    return out
+    Only arrivals that can fail inside the horizon are drawn. Given its
+    shocks, the shot-noise Cox process is a Poisson cluster process: base
+    arrivals at rate ``lambda0`` plus, per shock at ``s``, an independent
+    cluster at rate ``exp(-delta*(t-s))`` on ``(s, h]`` (Møller 2003, "Shot
+    noise Cox processes", Adv. Appl. Prob. 35). An arrival at ``t`` fails by
+    ``h`` with probability at most ``Fb(h - t)``, :meth:`HittingTimeSampler.cdf_bound`,
+    which does not increase in ``t``, so every part is thinned by it:
 
+    - base arrivals of all ``n`` systems pooled, at rate ``n*lambda0*Fb(h-t)``;
+    - shocks with at least one child of the dominating cluster
+      ``Fb(h-s)*exp(-delta*(t-s))``, whose mean is ``m(s)``, at rate
+      ``n*mu*(1 - exp(-m(s)))``; the first child by inverting its law given
+      at least one, ``Lambda(T1) = -log1p(U*expm1(-m))``, the rest a
+      ``Poisson(m - Lambda(T1))`` count after it, each child kept with
+      probability ``Fb(h-t)/Fb(h-s)``.
+
+    A kept arrival's hitting uniform is ``U(0, Fb(h-t))``, the law of the
+    full-range uniform given the thinning; under random effects it fails by
+    the horizon only if it is at most ``F(h-t)`` at its own rate. Exact:
+    shocks and arrivals that cannot fail by the horizon are never drawn.
+    """
+    if not 0 < horizon < np.inf:
+        raise ValidationError("horizon must be positive and finite")
+    if n < 0:
+        raise ValidationError("number of systems must be non-negative")
+    sampler = HittingTimeSampler(spec.growth, threshold)
+    delta = spec.arrivals.delta
+
+    def fail_bound(t):
+        return sampler.cdf_bound(horizon - t)
+
+    def cluster_mean(s, top):
+        """Mean child count of a shock at ``s`` whose cluster is thinned at ``top = Fb(h-s)``."""
+        return top * -np.expm1(-delta * (horizon - s)) / delta
+
+    base_t, base_f = _thin_falling(fail_bound, n * spec.arrivals.lambda0, horizon, rng)
+    base_of = rng.integers(n, size=base_t.size)
+    shock_t, _ = _thin_falling(
+        lambda s: -np.expm1(-cluster_mean(s, fail_bound(s))), n * spec.arrivals.mu, horizon, rng
+    )
+    shock_of = rng.integers(n, size=shock_t.size)
+    top = fail_bound(shock_t)
+    m = cluster_mean(shock_t, top)
+    # Integrated cluster rate at each child: the first by inversion, the rest uniform above it.
+    first = -np.log1p(rng.uniform(size=shock_t.size) * np.expm1(-m))
+    more = np.repeat(np.arange(shock_t.size), rng.poisson(m - first))
+    cum = np.concatenate([first, first[more] + rng.uniform(size=more.size) * (m - first)[more]])
+    parent = np.concatenate([np.arange(shock_t.size), more])
+    child_t = np.minimum(shock_t[parent] - np.log1p(-delta * cum / top[parent]) / delta, horizon)
+    child_f = fail_bound(child_t)
+    if np.count_nonzero(child_f > top[parent] * (1 + 1e-12)):
+        raise AssertionError("thinning dominating bound violated")
+    keep = rng.uniform(size=parent.size) * top[parent] < child_f
+
+    t = np.concatenate([base_t, child_t[keep]])
+    owner = np.concatenate([base_of, shock_of[parent[keep]]])
+    rates = spec.growth.draw_rates(rng, t.size)
+    u = rng.uniform(size=t.size) * np.concatenate([base_f, child_f[keep]])
+    if spec.growth.has_random_effects:
+        fails = u <= sp.gammaincc(spec.growth.shape_rate * (horizon - t), rates * threshold)
+        t, owner, rates, u = t[fails], owner[fails], rates[fails], u[fails]
+    first_fail = np.full(n, np.inf)
+    np.minimum.at(first_fail, owner, t + sampler.invert(u, rates))
+    return np.where(first_fail <= horizon, first_fail, np.nan)

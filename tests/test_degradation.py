@@ -447,6 +447,27 @@ class TestReadObservationsShuffled:
             np.testing.assert_array_equal(getattr(ordered, name), getattr(back, name))
 
 
+    def test_columns_in_any_order_and_ids_ordered_by_value(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("level,process_id,time\n0.5,10,1\n0.7,2,1\n0.9,2,2\n")
+        np.testing.assert_array_equal(read_observations_csv(path).end_levels, [0.9, 0.5])
+        path.write_text("process_id,time,level\nb,1,0.2\na,1,0.5\na,2,0.7\n")
+        np.testing.assert_array_equal(read_observations_csv(path).end_levels, [0.7, 0.2])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "process_id,time,level\n", "process_id,time\n0,1\n", "process_id,time,level\n0,1\n",
+         "process_id,time,level\n0,1,0.5,9\n", "process_id,time,level\n0,1,x\n",
+         "process_id,time,level\n0,1,\n"],
+        ids=["empty", "header_only", "two_columns", "short_row", "long_row", "non_numeric", "missing"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            read_observations_csv(path)
+
+
 class TestDifferencePdfSaturation:
     def test_saturated_tail_returns_quotient(self):
         t = np.arange(0.01, 20.0, 0.01)

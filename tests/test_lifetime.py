@@ -221,56 +221,60 @@ class TestCurveOutput:
         assert len(rows) == 12
 
 
-def _unscreened_batch(spec, threshold, horizon, n, rng):
-    """First exceedance times with every hitting time inverted."""
-    run_ids, arrivals = simulate_arrival_batch(spec.arrivals, horizon, n, rng)
-    sigma = HittingTimeSampler(spec.growth, threshold).sample(rng, arrivals.size)
-    first = np.full(n, np.inf)
-    np.minimum.at(first, run_ids, arrivals + sigma)
-    return np.where(first <= horizon, first, np.nan)
+def _survival_deviation(spec, horizon, n, seeds):
+    """Pooled failure-count deviation from the law and its bound, at ten times up to ``horizon``.
+
+    The bound is 4 binomial SDs of the count plus a slack of 3 events, which
+    covers times where the law expects almost no failures or no survivors.
+    """
+    ts = np.linspace(horizon / 10, horizon, 10)
+    surv = first_passage_law(spec, spec.failure_threshold, horizon).survival(ts)
+    failed = np.zeros(ts.size)
+    for seed in seeds:
+        w = simulate_first_passage_batch(spec, spec.failure_threshold, horizon, n,
+                                         np.random.default_rng(seed))
+        failed += np.searchsorted(np.sort(w[np.isfinite(w)]), ts, side="right")
+    total = n * len(seeds)
+    dev = np.abs(failed - total * (1.0 - surv))
+    return dev, 4.0 * np.sqrt(total * surv * (1.0 - surv)) + 3.0
 
 
-class TestScreenedSampler:
+class TestClusterSampler:
     @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
-    @pytest.mark.parametrize("horizon", [10.0, 0.5])
-    def test_equals_unscreened_element_by_element(self, growth, horizon):
-        sampler = HittingTimeSampler(growth, 10.0)
-        drawn = horizon - np.random.default_rng(20).uniform(0.0, horizon, 6000)
-        # also limits on the screen table's steps top*j/32, one scalar limit
-        # for 6000 draws, all-zero limits, limits down to -10 horizons and a
-        # draw of size 0
-        on_steps = np.tile(horizon * np.arange(33) / 32, 100)
-        below_zero = horizon * np.linspace(-10.0, 1.0, 500)
-        for given, size in [(drawn, 6000), (on_steps, on_steps.size), (horizon, 6000),
-                            (np.zeros(500), 500), (below_zero, 500), (np.empty(0), 0)]:
-            full = sampler.sample(np.random.default_rng(21), size)
-            screened = sampler.sample(np.random.default_rng(21), size, limit=given)
-            limit = np.broadcast_to(given, full.shape)
-            kept = np.isfinite(screened)
-            np.testing.assert_array_equal(screened[kept], full[kept])
-            assert np.all(full[~kept] > limit[~kept])
-            assert np.all(kept[full <= limit])
-            if horizon < 1.0 and given is drawn:
-                assert kept.mean() < 0.01
+    @pytest.mark.parametrize("horizon,n", [(0.3, 20_000), (10.0, 20_000), (20.0, 5_000)])
+    def test_survival_matches_law(self, growth, horizon, n):
+        dev, bound = _survival_deviation(SystemSpec(PARAMS, growth, 10.0), horizon, n, [30, 31])
+        assert np.all(dev <= bound)
 
     @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
-    def test_extreme_uniforms(self, growth):
-        sampler = HittingTimeSampler(growth, 10.0)
-        u = np.array([1e-300, 1e-12, 0.5, 1.0 - 1e-12, 0.5])
-        rates = growth.draw_rates(np.random.default_rng(22), u.size)
-        limit = np.array([0.1, 0.1, 100.0, 100.0, 0.1])
-        full = sampler.invert(u, rates)
-        screened = sampler.invert(u, rates, limit=limit)
-        kept = np.isfinite(screened)
-        np.testing.assert_array_equal(screened[kept], full[kept])
-        assert np.all(full[~kept] > limit[~kept])
-        assert kept[:4].all() and not kept[4]
+    @pytest.mark.parametrize(
+        "params,threshold,horizon",
+        [(ShotNoiseParams(0.0, 2.0, 0.5), 10.0, 12.0), (ShotNoiseParams(1.0, 0.0, 0.5), 10.0, 12.0),
+         (PARAMS, 2.0, 5.0)],
+        ids=["no_base", "no_shocks", "most_fail"],
+    )
+    def test_single_source_and_low_threshold(self, growth, params, threshold, horizon):
+        dev, bound = _survival_deviation(SystemSpec(params, growth, threshold), horizon, 5_000, [32, 33])
+        assert np.all(dev <= bound)
 
-    @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
-    @pytest.mark.parametrize("horizon,n", [(10.0, 3000), (0.3, 3000), (10.0, 1), (20.0, 1)])
-    def test_batch_equals_unscreened(self, growth, horizon, n):
-        spec = SystemSpec(PARAMS, growth, 10.0)
-        for seed in range(3):
-            got = simulate_first_passage_batch(spec, 10.0, horizon, n, np.random.default_rng(seed))
-            want = _unscreened_batch(spec, 10.0, horizon, n, np.random.default_rng(seed))
-            np.testing.assert_array_equal(got, want)
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: simulate_first_passage_batch(SPEC, -1.0, 10.0, 10, rng),
+            lambda rng: simulate_first_passage_batch(SPEC, 0.0, 10.0, 10, rng),
+            lambda rng: simulate_first_passage_batch(SPEC, np.nan, 10.0, 10, rng),
+            lambda rng: simulate_first_passage_batch(SPEC, 10.0, np.inf, 10, rng),
+            lambda rng: simulate_first_passage_batch(SPEC, 10.0, np.nan, 10, rng),
+            lambda rng: simulate_first_passage_batch(SPEC, 10.0, 0.0, 10, rng),
+            lambda rng: simulate_first_passage_batch(SPEC, 10.0, 10.0, -1, rng),
+            lambda rng: HittingTimeSampler(GROWTH, -3.0).sample(rng, 10),
+        ],
+        ids=["threshold_negative", "threshold_zero", "threshold_nan", "horizon_inf",
+             "horizon_nan", "horizon_zero", "n_negative", "sampler_threshold_negative"],
+    )
+    def test_rejects_invalid_input(self, draw):
+        with pytest.raises(ValidationError):
+            draw(np.random.default_rng(0))
+
+    def test_no_systems(self):
+        assert simulate_first_passage_batch(SPEC, 10.0, 10.0, 0, np.random.default_rng(0)).size == 0
