@@ -273,6 +273,10 @@ class HittingTimeSampler:
         """The largest hitting probability by ``t >= 0`` of any process."""
         return sp.gammaincc(self.growth.shape_rate * t, self._x_lo)
 
+    def cdf(self, t, rates) -> np.ndarray:
+        """The hitting probability ``F(t)`` by ``t >= 0`` at the given per-draw rates."""
+        return sp.gammaincc(self.growth.shape_rate * t, rates * self.threshold)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         rates = self.growth.draw_rates(rng, size)
         u = rng.uniform(size=size)
@@ -370,7 +374,7 @@ def simulate_first_passage_batch(
     rates = spec.growth.draw_rates(rng, t.size)
     u = rng.uniform(size=t.size) * np.concatenate([base_f, child_f[keep]])
     if spec.growth.has_random_effects:
-        fails = u <= sp.gammaincc(spec.growth.shape_rate * (horizon - t), rates * threshold)
+        fails = u <= sampler.cdf(horizon - t, rates)
         t, owner, rates, u = t[fails], owner[fails], rates[fails], u[fails]
     first_fail = np.full(n, np.inf)
     np.minimum.at(first_fail, owner, t + sampler.invert(u, rates))

@@ -239,6 +239,70 @@ def _survival_deviation(spec, horizon, n, seeds):
     return dev, 4.0 * np.sqrt(total * surv * (1.0 - surv)) + 3.0
 
 
+def _unscreened_batch(spec, threshold, horizon, n, rng):
+    """First exceedance times with every arrival drawn and every hitting time inverted."""
+    run_ids, arrivals = simulate_arrival_batch(spec.arrivals, horizon, n, rng)
+    sigma = HittingTimeSampler(spec.growth, threshold).sample(rng, arrivals.size)
+    first = np.full(n, np.inf)
+    np.minimum.at(first, run_ids, arrivals + sigma)
+    return np.where(first <= horizon, first, np.nan)
+
+
+class TestScreenedSampler:
+    """The batch's shortcuts against drawing and inverting every arrival."""
+
+    @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
+    @pytest.mark.parametrize("horizon", [10.0, 0.5])
+    def test_equals_unscreened_element_by_element(self, growth, horizon):
+        # the random-effects screen u <= F(limit) keeps exactly the draws whose
+        # inverted time is within the limit; also one scalar limit for 6000
+        # draws, all-zero limits, limits down to -10 horizons and a draw of size 0
+        sampler = HittingTimeSampler(growth, 10.0)
+        drawn = horizon - np.random.default_rng(20).uniform(0.0, horizon, 6000)
+        below_zero = horizon * np.linspace(-10.0, 1.0, 500)
+        for given, size in [(drawn, 6000), (horizon, 6000), (np.zeros(500), 500),
+                            (below_zero, 500), (np.empty(0), 0)]:
+            rng = np.random.default_rng(21)
+            rates = growth.draw_rates(rng, size)
+            u = rng.uniform(size=size)
+            full = sampler.invert(u, rates)
+            limit = np.broadcast_to(given, full.shape)
+            kept = u <= sampler.cdf(limit, rates)
+            np.testing.assert_array_equal(kept, full <= limit)
+            if horizon < 1.0 and given is drawn:
+                assert kept.mean() < 0.01
+
+    @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
+    def test_extreme_uniforms(self, growth):
+        sampler = HittingTimeSampler(growth, 10.0)
+        u = np.array([1e-300, 1e-12, 0.5, 1.0 - 1e-12, 0.5])
+        rates = growth.draw_rates(np.random.default_rng(22), u.size)
+        limit = np.array([0.1, 0.1, 100.0, 100.0, 0.1])
+        full = sampler.invert(u, rates)
+        kept = u <= sampler.cdf(limit, rates)
+        np.testing.assert_array_equal(kept, full <= limit)
+        assert kept[:4].all() and not kept[4]
+
+    @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
+    @pytest.mark.parametrize("horizon,n", [(10.0, 3000), (0.3, 3000), (10.0, 1), (20.0, 1)])
+    def test_batch_equals_unscreened(self, growth, horizon, n):
+        # equal in law: failure counts at ten times, pooled over at least 3 seeds
+        # and 3000 systems a side, within 4 two-sample binomial SDs plus 3 events
+        spec = SystemSpec(PARAMS, growth, 10.0)
+        ts = np.linspace(horizon / 10, horizon, 10)
+        seeds = range(max(3, 3000 // n))
+        counts = []
+        for draw in (simulate_first_passage_batch, _unscreened_batch):
+            failed = np.zeros(ts.size)
+            for seed in seeds:
+                w = draw(spec, 10.0, horizon, n, np.random.default_rng(seed))
+                failed += np.searchsorted(np.sort(w[np.isfinite(w)]), ts, side="right")
+            counts.append(failed)
+        total = n * len(seeds)
+        p = (counts[0] + counts[1]) / (2 * total)
+        assert np.all(np.abs(counts[0] - counts[1]) <= 4.0 * np.sqrt(2 * total * p * (1 - p)) + 3.0)
+
+
 class TestClusterSampler:
     @pytest.mark.parametrize("growth", [GROWTH, RE_GROWTH], ids=["deterministic", "random_effects"])
     @pytest.mark.parametrize("horizon,n", [(0.3, 20_000), (10.0, 20_000), (20.0, 5_000)])
