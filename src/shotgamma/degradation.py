@@ -461,11 +461,16 @@ class DegradationObservations:
 def read_observations_csv(path) -> DegradationObservations:
     """Load ``process_id,time,level`` rows; validation is strict per process.
 
-    The header names the columns, in any order. Process ids order as
-    integers when they all parse as integers, else as floats, else as text.
+    The header names the columns, in any order, and may be written as a
+    comment (``# process_id,time,level``); elsewhere ``#`` opens a comment.
+    Process ids order as integers when they all parse as integers, else as
+    floats, else as text.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        lines = [line.strip() for line in fh.read().splitlines() if line.strip()]
+    if lines:
+        lines[0] = lines[0].lstrip("#")
+    lines = [text for text in (line.split("#", 1)[0].strip() for line in lines) if text]
     if not lines:
         raise ValidationError("observations CSV is empty")
     names = [name.strip() for name in lines[0].split(",")]

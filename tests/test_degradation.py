@@ -453,6 +453,8 @@ class TestReadObservationsShuffled:
         np.testing.assert_array_equal(read_observations_csv(path).end_levels, [0.9, 0.5])
         path.write_text("process_id,time,level\nb,1,0.2\na,1,0.5\na,2,0.7\n")
         np.testing.assert_array_equal(read_observations_csv(path).end_levels, [0.7, 0.2])
+        path.write_text("# process_id,time,level\n# a comment\n0,1,0.5  # inline\n\n0,2,0.8\n")
+        np.testing.assert_array_equal(read_observations_csv(path).end_levels, [0.8])
 
     @pytest.mark.parametrize(
         "text",

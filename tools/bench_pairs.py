@@ -1,16 +1,19 @@
 """Alternating parent/change pairs of the shotbench benchmark, written as BENCH_<label>.json.
 
-    python3 tools/bench_pairs.py --label cluster --parent HEAD \
+    python3 tools/bench_pairs.py --label cluster --parent HEAD~1 \
         --change "what the change does" --claim "what it claims" \
         --workload analytic_stack:10:0 --workload analytic_stack:5:1 \
-        --workload grid_det:5:0 --workload cost_sweep_re:5:0
+        --workload grid_det:10:0 --workload cost_sweep_re:10:0
 
 Each ``--workload NAME:PAIRS:TRACE`` runs ``PAIRS`` pairs of
 ``shotbench/run.py --workload NAME --seed i --seconds S --trace TRACE``,
-pair ``i`` with seed ``i`` on both sides, the parent first in odd pairs and
-the change first in even pairs, one run at a time. The parent side runs
-from a ``git archive`` export of ``--parent`` made under ``--workdir``;
-the change side runs from this working tree. The summary gives, per
+with ``S`` the ``run_seconds`` of BENCHMARK.json, pair ``i`` with seed
+``i`` on both sides, the parent first in odd pairs and the change first in
+even pairs, one run at a time. Untraced workloads, which give the
+end-to-end metrics, need at least 10 pairs. The parent side runs from a
+``git archive`` export of ``--parent`` made under ``--workdir``; the
+change side runs from this working tree, so ``--parent`` may be ``HEAD``
+only while the change is uncommitted. The summary gives, per
 workload and end-to-end metric, each side's median, quartiles and range
 and the number of pairs the change wins; traced runs give per-layer values
 per side. The host's core count and library versions are recorded.
@@ -32,12 +35,17 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
+MIN_PAIRS = 10
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
 
 
 def export_parent(rev: str, workdir: Path) -> tuple[Path, str]:
     """A plain copy of the tree at ``rev`` under ``workdir``; returns it and the short hash."""
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
-                            check=True, capture_output=True, text=True).stdout.strip()
+    commit = git("rev-parse", "--short", rev)
     dest = Path(tempfile.mkdtemp(prefix=f"parent-{commit}-", dir=workdir))
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
                              check=True, capture_output=True).stdout
@@ -45,7 +53,7 @@ def export_parent(rev: str, workdir: Path) -> tuple[Path, str]:
     return dest, commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One benchmark run; its parsed last stdout line, with ``correct`` false on a crash."""
     proc = subprocess.run([sys.executable, "shotbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -121,11 +129,10 @@ def traced(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--parent", default="HEAD", help="git revision the change is measured against")
+    parser.add_argument("--parent", required=True, help="git revision the change is measured against")
     parser.add_argument("--change", required=True, help="one line on what the change does")
     parser.add_argument("--claim", required=True, help="the gain claimed, or why none is")
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS:TRACE")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--workdir", default=tempfile.gettempdir(),
                         help="where the parent's export is made")
     args = parser.parse_args(argv)
@@ -134,8 +141,13 @@ def main(argv=None) -> int:
     for spec in args.workload:
         name, pairs, trace = spec.split(":")
         plan.append((name, int(pairs), int(trace)))
+        if int(trace) == 0 and int(pairs) < MIN_PAIRS:
+            parser.error(f"{name}: end-to-end metrics need at least {MIN_PAIRS} pairs")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    if git("rev-parse", args.parent) == git("rev-parse", "HEAD") and not git("status", "--porcelain", "--untracked-files=no"):
+        parser.error(f"--parent {args.parent} is HEAD and the tree is clean: nothing to compare")
 
     parent_tree, commit = export_parent(args.parent, Path(args.workdir))
     trees = {"parent": parent_tree, "change": ROOT}
@@ -145,7 +157,7 @@ def main(argv=None) -> int:
             for seed in range(1, pairs + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    result = run_once(trees[side], name, seed, args.seconds, trace)
+                    result = run_once(trees[side], name, seed, seconds, trace)
                     runs.append({"side": side, "workload": name, "seed": seed, "trace": trace,
                                  **result})
                     shown = result["metrics"] if trace == 0 else {"correct": result["correct"]}
@@ -153,7 +165,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
 
-    protocol = (f"python3 shotbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+    protocol = (f"python3 shotbench/run.py --workload W --seed S --seconds {seconds} "
                 "--trace T, run from a git-archive export of the parent and from the working "
                 "tree; pair i uses seed i for both sides, parent first in odd pairs and change "
                 "first in even pairs; one process, one thread, runs strictly sequential; "
