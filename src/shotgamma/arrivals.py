@@ -2,16 +2,16 @@
 
 Shocks arrive as a homogeneous Poisson process and each shock adds an
 exponentially decaying bump to the arrival intensity on top of a constant
-base level. Degradation-process arrival times are sampled exactly by
-thinning against a piecewise-constant dominating rate; one kernel,
-:func:`thin_segments`, serves every sampler of the arrival process itself
-(``lifetime.simulate_first_passage_batch`` draws only the arrivals that
-can fail, from the process's cluster form thinned by the hitting law).
+base level. Given its shocks the process is a Poisson cluster process,
+and every sampler draws it in that form, exactly: base arrivals plus an
+independent cluster of decaying rate per shock. One helper,
+:func:`_cluster_arrivals`, serves the single-history and the batch
+samplers (``lifetime.simulate_first_passage_batch`` draws only the
+arrivals that can fail, from the same form thinned by the hitting law).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,64 +142,49 @@ def simulate_shocks(
     return ShockTrajectory(horizon=horizon, shock_times=times)
 
 
-def thin_segments(
+def _cluster_arrivals(
     params: ShotNoiseParams,
-    left: np.ndarray,
-    length: np.ndarray,
+    horizon: float,
     carry: np.ndarray,
+    sh_run: np.ndarray,
+    sh_t: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Thinning on inter-shock segments against a piecewise-constant bound.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrivals on ``[0, horizon]`` of ``carry.size`` runs given their shocks, in cluster form.
 
-    Segment ``j`` starts at ``left[j]``, lasts ``length[j]`` and opens with
-    the summed shock contribution ``carry[j]``. Its dominating rate is the
-    intensity at the left edge frozen there (the decaying kernel only falls
-    in between), which the sampler asserts on every proposal. Returns the
-    segment index and time of each accepted point, in proposal order.
+    Run ``i`` opens with the summed contribution ``carry[i]`` of earlier
+    shocks; shock ``j`` of run ``sh_run[j]`` falls at ``sh_t[j]`` (any
+    order). Given its shocks the process is a Poisson cluster process
+    (Møller 2003, "Shot noise Cox processes", Adv. Appl. Prob. 35):
+    ``Poisson(lambda0*h)`` base arrivals at uniform times, and one cluster
+    per carry and per shock. A cluster of weight ``w`` opening at ``s`` has
+    ``Poisson(w*(1 - exp(-delta*(h-s)))/delta)`` children at ``s`` plus an
+    ``Exp(delta)`` age truncated to ``h - s``. Returns ``(run_ids, times,
+    end_carry)``, times unsorted, the end carry
+    ``carry*exp(-delta*h) + sum exp(-delta*(h - s))`` opening the next
+    stretch.
     """
-    bounds = params.lambda0 + carry
-    counts = rng.poisson(bounds * length)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=int), np.empty(0)
-    seg = np.repeat(np.arange(left.size), counts)
-    u = rng.uniform(size=2 * total)
-    start = left[seg]
-    proposals = start + u[:total] * length[seg]
-    lam = params.lambda0 + carry[seg] * np.exp(-params.delta * (proposals - start))
-    bound_at = bounds[seg]
-    if np.count_nonzero(lam > bound_at * (1 + 1e-12)):
-        raise AssertionError("thinning dominating bound violated")
-    keep = u[total:] * bound_at <= lam
-    return seg[keep], proposals[keep]
-
-
-def thin_history(
-    params: ShotNoiseParams,
-    shock_times: np.ndarray,
-    stop: float,
-    carry: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Arrival times on ``(0, stop]`` of one shock history, unsorted.
-
-    ``carry`` is the summed shock contribution at 0 from earlier shocks;
-    ``shock_times`` are the sorted shocks inside ``(0, stop]``, each opening
-    a new segment. No segment's carry may exceed ``carry`` plus the number
-    of shocks before it.
-    """
+    n_runs = carry.size
     delta = params.delta
-    shocks = shock_times.tolist()  # the scalar loop runs faster on Python floats
-    seg_carry = [carry]
-    c, prev = carry, 0.0
-    for j, t in enumerate(shocks, 1):
-        c = c * math.exp(-delta * (t - prev)) + 1.0
-        if c > (carry + j) * (1 + 1e-12):
-            raise AssertionError("thinning dominating bound violated")
-        seg_carry.append(c)
-        prev = t
-    edges = np.array([0.0, *shocks, stop])
-    return thin_segments(params, edges[:-1], edges[1:] - edges[:-1], np.array(seg_carry), rng)[1]
+    starts = np.concatenate((np.zeros(n_runs), sh_t))
+    decay = np.exp(-delta * (horizon - starts))
+    span = 1.0 - decay
+    weight = np.concatenate((carry, np.ones(sh_t.size)))
+    counts = rng.poisson(np.concatenate((np.full(n_runs, params.lambda0 * horizon),
+                                         weight * span / delta)))
+    source = np.repeat(np.arange(counts.size), counts)
+    u = rng.uniform(size=source.size)
+    n_base = int(counts[:n_runs].sum())
+    parent = source[n_base:] - n_runs
+    times = np.empty(source.size)
+    times[:n_base] = horizon * u[:n_base]
+    # rounding can carry a child past the horizon when delta*(h - s) is large
+    times[n_base:] = np.minimum(
+        starts[parent] - np.log1p(-u[n_base:] * span[parent]) / delta, horizon
+    )
+    run_ids = np.concatenate((np.arange(n_runs), np.arange(n_runs), sh_run))[source]
+    end_carry = carry * decay[:n_runs] + np.bincount(sh_run, decay[n_runs:], minlength=n_runs)
+    return run_ids, times, end_carry
 
 
 def simulate_arrivals(
@@ -210,33 +195,18 @@ def simulate_arrivals(
 ) -> ArrivalTrajectory:
     """Sample arrival times on ``[0, horizon]`` conditional on the shocks.
 
-    Exact (no discretization): Ogata-style thinning with the dominating rate
-    refreshed at each shock.
+    Exact (no discretization): the cluster form of :func:`_cluster_arrivals`
+    with no earlier shocks.
     """
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
     if shocks.horizon < horizon:
         raise ValidationError("shock trajectory horizon shorter than requested horizon")
     inside = shocks.shock_times[shocks.shock_times <= horizon]
-    times = np.sort(thin_history(params, inside, horizon, 0.0, rng))
-    return ArrivalTrajectory(horizon=horizon, arrival_times=times)
-
-
-def sort_within_runs(runs: np.ndarray, times: np.ndarray, horizon: float) -> np.ndarray:
-    """``times`` ordered by run, then by time: exactly ``times[np.lexsort((times, runs))]``.
-
-    ``times`` lie in ``[0, horizon]``. One sort of the offset key
-    ``run*(horizon+1) + time`` orders them; rounding of the key can merge
-    close times out of order, so the gathered runs and times are checked to
-    rise, and ``lexsort`` takes over when they do not.
-    """
-    order = np.argsort(runs * (horizon + 1.0) + times)
-    sorted_runs = runs[order]
-    out = times[order]
-    run_step = sorted_runs[1:] - sorted_runs[:-1]
-    if (run_step < 0).any() or ((run_step == 0) & (out[1:] < out[:-1])).any():
-        out = times[np.lexsort((times, runs))]
-    return out
+    _, times, _ = _cluster_arrivals(
+        params, horizon, np.zeros(1), np.zeros(inside.size, dtype=np.intp), inside, rng
+    )
+    return ArrivalTrajectory(horizon=horizon, arrival_times=np.sort(times))
 
 
 def simulate_carried_batch(
@@ -245,59 +215,21 @@ def simulate_carried_batch(
     carry: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrivals on ``(0, horizon]`` of ``carry.size`` independent runs in one flat pass.
+    """Arrivals on ``[0, horizon]`` of ``carry.size`` independent runs in one flat pass.
 
     Run ``i`` opens with the summed contribution ``carry[i]`` of earlier
-    shocks. Returns ``(run_ids, times, end_carry)``: times unsorted within a
-    run, and each run's summed shock contribution at ``horizon``, which
-    opens its next stretch. The carries follow the recursion of
-    :func:`thin_history`, advanced by shock rank for all runs at once, under
-    the same bound, and every run's segments go through one
-    :func:`thin_segments` call.
+    shocks. Each run draws ``Poisson(mu*horizon)`` shocks at uniform times,
+    and :func:`_cluster_arrivals` draws its arrivals given them. Returns
+    ``(run_ids, times, end_carry)``: times unsorted within a run, and each
+    run's summed shock contribution at ``horizon``, which opens its next
+    stretch.
     """
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
-    n_runs = carry.size
-    delta = params.delta
-    n_sh = rng.poisson(params.mu * horizon, size=n_runs)
-    total_sh = int(n_sh.sum())
-    sh_run = np.repeat(np.arange(n_runs), n_sh)
-    sh_t = sort_within_runs(sh_run, rng.uniform(0.0, horizon, size=total_sh), horizon)
-    # Carry just after each shock: c_j = c_{j-1} * exp(-delta * gap) + 1,
-    # with c_0 the run's opening carry and the first gap measured from 0.
-    first_at = n_sh.cumsum() - n_sh
-    has_sh = n_sh > 0
-    sh_carry = np.ones(total_sh)
-    opening = first_at[has_sh]
-    sh_carry[opening] += carry[has_sh] * np.exp(-delta * sh_t[opening])
-    decay = np.exp(-delta * (sh_t[1:] - sh_t[:-1]))
-    # Runs sorted by shock count, so those with more than r shocks, n_over[r]
-    # of them, form a prefix; first holds each run's first shock position.
-    by_count = np.argsort(-n_sh, kind="stable")
-    first = first_at[by_count]
-    n_over = np.searchsorted(-n_sh[by_count], -np.arange(int(n_sh.max(initial=0))), side="left")
-    for rank in range(1, n_over.size):
-        idx = first[: n_over[rank]] + rank
-        sh_carry[idx] += sh_carry[idx - 1] * decay[idx - 1]
-    # c_j <= c_0 + j, the dominating bound of every segment of the run
-    rank_of = np.arange(total_sh) - first_at[sh_run]
-    if np.count_nonzero(sh_carry > (carry[sh_run] + rank_of + 1) * (1 + 1e-12)):
-        raise AssertionError("thinning dominating bound violated")
-    # One segment per (run, inter-shock gap): N_i + 1 segments per run, the
-    # first opening at 0 with the run's carry, the last ending at the horizon.
-    run_first = first_at + np.arange(n_runs)
-    at_shock = np.arange(total_sh) + sh_run + 1
-    left = np.zeros(total_sh + n_runs)
-    left[at_shock] = sh_t
-    right = np.full(total_sh + n_runs, float(horizon))
-    right[at_shock - 1] = sh_t
-    seg_carry = np.zeros(total_sh + n_runs)
-    seg_carry[run_first] = carry
-    seg_carry[at_shock] = sh_carry
-    seg, times = thin_segments(params, left, right - left, seg_carry, rng)
-    last = run_first + n_sh
-    end_carry = seg_carry[last] * np.exp(-delta * (horizon - left[last]))
-    return np.repeat(np.arange(n_runs), n_sh + 1)[seg], times, end_carry
+    n_sh = rng.poisson(params.mu * horizon, size=carry.size)
+    sh_run = np.repeat(np.arange(carry.size), n_sh)
+    sh_t = rng.uniform(0.0, horizon, size=sh_run.size)
+    return _cluster_arrivals(params, horizon, carry, sh_run, sh_t, rng)
 
 
 def simulate_arrival_batch(

@@ -59,6 +59,19 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _integer(section: dict, key: str, default: int, where: str, minimum: int) -> int:
+    """``section[key]``, or ``default`` when absent, as an integer of at least ``minimum``.
+
+    Booleans, floats, strings and null are rejected, never coerced.
+    """
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{where} must be at least {minimum}, got {value}")
+    return value
+
+
 def _grid_from(node, where: str) -> np.ndarray:
     if isinstance(node, (list, tuple)):
         return np.asarray(node, float)
@@ -241,13 +254,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         sim_raw, {"n_cycles", "substeps", "max_inspections", "crossing_refinement"}, "simulation"
     )
     sim = SimControl(
-        substeps=int(sim_raw.get("substeps", 16)),
-        max_inspections=int(sim_raw.get("max_inspections", 200)),
-        crossing_refinement=int(sim_raw.get("crossing_refinement", 0)),
+        substeps=_integer(sim_raw, "substeps", 16, "simulation.substeps", 1),
+        max_inspections=_integer(sim_raw, "max_inspections", 200, "simulation.max_inspections", 1),
+        crossing_refinement=_integer(
+            sim_raw, "crossing_refinement", 0, "simulation.crossing_refinement", 0
+        ),
     )
-    n_cycles = int(sim_raw.get("n_cycles", 6000))
-    if n_cycles < 1:
-        raise ValidationError("simulation.n_cycles must be positive")
+    n_cycles = _integer(sim_raw, "n_cycles", 6000, "simulation.n_cycles", 1)
 
     fit_raw = raw.get("fit", {}) or {}
     _require_keys(fit_raw, {"center", "grid_start", "grid_stop", "grid_count", "data"}, "fit")
@@ -266,9 +279,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         costs=costs,
         n_cycles=n_cycles,
         sim=sim,
-        master_seed=int(raw.get("master_seed", 0)),
+        master_seed=_integer(raw, "master_seed", 0, "master_seed", 0),
         horizon=float(raw.get("horizon", 10.0)),
-        n_trajectories=int(raw.get("n_trajectories", 10000)),
+        n_trajectories=_integer(raw, "n_trajectories", 10000, "n_trajectories", 1),
         fit=dict(fit_raw),
         sensitivity=dict(sens_raw),
         validation=dict(val_raw),

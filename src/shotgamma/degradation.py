@@ -427,31 +427,53 @@ class DegradationObservations:
     def __post_init__(self):
         if len(self.times) != len(self.levels):
             raise ValidationError("times and levels must pair up per process")
-        clean_t, clean_x = [], []
-        for t, x in zip(self.times, self.levels):
-            t = np.asarray(t, float)
-            x = np.asarray(x, float)
-            if t.size == 0:
-                raise ValidationError("a process has no observations")
-            if t.size != x.size:
-                raise ValidationError("times and levels differ in length")
-            if t[0] == 0.0:
-                if x[0] != 0.0:
-                    raise ValidationError("a time-0 observation must have level 0")
-                t, x = t[1:], x[1:]
-            if t.size == 0 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
+        t_parts = [np.asarray(t, float) for t in self.times]
+        x_parts = [np.asarray(x, float) for x in self.levels]
+        sizes = np.array([t.size for t in t_parts], dtype=np.intp)
+        malformed = np.flatnonzero((sizes == 0) | (sizes != [x.size for x in x_parts]))
+        # All processes are checked at once, on the flat arrays, but the
+        # first failing process names the error, as in a per-process loop.
+        n_ok = int(malformed[0]) if malformed.size else sizes.size
+        sizes = sizes[:n_ok]
+        t = np.concatenate([np.empty(0), *t_parts[:n_ok]])
+        x = np.concatenate([np.empty(0), *x_parts[:n_ok]])
+        first = np.cumsum(sizes) - sizes
+        at_zero = t[first] == 0.0
+        bad_origin = at_zero & (x[first] != 0.0)
+        kept = np.ones(t.size, dtype=bool)
+        kept[first[at_zero]] = False  # a time-0 observation only restates the start
+        t, x, sizes = t[kept], x[kept], sizes - at_zero
+        owner = np.repeat(np.arange(n_ok), sizes)
+        same = owner[1:] == owner[:-1]
+
+        def flagged(flags, where=owner):
+            return np.bincount(where[flags], minlength=n_ok) > 0
+
+        bad_times = (sizes == 0) | flagged(t <= 0) | flagged(same & (t[1:] <= t[:-1]), owner[1:])
+        # on a non-decreasing path no level is negative unless the first is
+        bad_levels = flagged(x < 0) | flagged(same & (x[1:] < x[:-1]), owner[1:])
+        failing = np.flatnonzero(bad_origin | bad_times | bad_levels)
+        if failing.size:
+            p = failing[0]
+            if bad_origin[p]:
+                raise ValidationError("a time-0 observation must have level 0")
+            if bad_times[p]:
                 raise ValidationError("observation times must be strictly increasing and positive")
-            if x[0] < 0 or np.any(np.diff(x) < 0):
-                raise ValidationError("levels must be non-negative and non-decreasing")
-            clean_t.append(t)
-            clean_x.append(x)
-        self.times = clean_t
-        self.levels = clean_x
-        empty = [np.empty(0)]
-        self.increments = np.concatenate(empty + [np.diff(x, prepend=0.0) for x in clean_x])
-        self.steps = np.concatenate(empty + [np.diff(t, prepend=0.0) for t in clean_t])
-        self.end_times = np.array([t[-1] for t in clean_t], float)
-        self.end_levels = np.array([x[-1] for x in clean_x], float)
+            raise ValidationError("levels must be non-negative and non-decreasing")
+        if malformed.size:
+            if t_parts[n_ok].size == 0:
+                raise ValidationError("a process has no observations")
+            raise ValidationError("times and levels differ in length")
+        first = np.cumsum(sizes) - sizes
+        self.times = np.split(t, first[1:]) if n_ok else []
+        self.levels = np.split(x, first[1:]) if n_ok else []
+        # differences across a process boundary are replaced: each path starts at 0
+        self.increments = np.diff(x, prepend=0.0)
+        self.increments[first] = x[first]
+        self.steps = np.diff(t, prepend=0.0)
+        self.steps[first] = t[first]
+        self.end_times = t[first + sizes - 1]
+        self.end_levels = x[first + sizes - 1]
 
     @property
     def n_processes(self) -> int:

@@ -92,13 +92,15 @@ class SimControl:
     """Resolution and guard rails of the cycle simulator.
 
     Levels at inspections are exact (one gamma increment per window). Only
-    a path that ends a window at or above the failure threshold gets a fine
-    grid of step ``T / substeps``, bridged between its window endpoints, and
-    its crossing time is localized to one fine step, biasing downtime low by
-    at most ``T / substeps``. ``crossing_refinement`` adds that many
-    bridge-bisection levels inside the crossing step, shrinking the bias by
-    ``2**levels``. A cycle still running after ``max_inspections`` windows
-    is censored.
+    the paths that end a window at or above the failure threshold are
+    bridged: each failed cycle's first crossing is dated at the first point
+    of the fine grid ``T / substeps`` at or above it, found by
+    ``ceil(log2(substeps))`` bisections of the gamma bridge, which biases
+    downtime low by at most ``T / substeps``. ``crossing_refinement`` adds
+    that many bridge halvings inside the crossing step, shrinking the bias
+    by ``2**levels``. A cycle still running after ``max_inspections``
+    windows is censored. Every field is an integer (not a bool); numpy
+    integers are stored as Python ints.
     """
 
     substeps: int = 16
@@ -106,6 +108,11 @@ class SimControl:
     crossing_refinement: int = 0
 
     def __post_init__(self):
+        for name in ("substeps", "max_inspections", "crossing_refinement"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"simulation control {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.substeps < 1 or self.max_inspections < 1 or self.crossing_refinement < 0:
             raise ValidationError("invalid simulation controls")
 
@@ -194,56 +201,73 @@ class CycleOutcomes:
         )
 
 
-def _crossing_times(
+def _first_crossings(
     rng: np.random.Generator,
     alpha: float,
     T: float,
     sim: SimControl,
     L: float,
+    cyc: np.ndarray,
     v0: np.ndarray,
     v1: np.ndarray,
     born: np.ndarray,
+    n: int,
 ) -> np.ndarray:
-    """Times inside the window at which rows going from ``v0`` to ``v1 >= L`` cross L.
+    """Earliest time inside the window at which a row of each of ``n`` cycles crosses L.
 
-    Rows start at ``born`` (0 for a process alive at the window start). The
-    fine grid ``T/substeps`` exists only here, as a gamma bridge between
-    the endpoint levels: given their sum, independent ``Gamma(alpha*dt_j)``
-    increments are Dirichlet, so normalised parts reproduce the fine path.
-    A crossing is dated at the first grid point at or above L, then
-    ``crossing_refinement`` Beta bisections localise it inside that step.
-    Returns each row's crossing time; a cycle fails at the earliest of its
-    rows' times, which the caller takes.
+    Row ``r`` of cycle ``cyc[r]`` goes from ``v0 < L`` at 0 to ``v1 >= L``
+    at ``T``; a row born at ``born > 0`` holds level 0 until then. A
+    crossing is dated at the first point of the fine grid ``T/substeps`` at
+    or above L, as on a full fine path. Each row's gamma bridge is bisected
+    on the fine-grid index (Avramidis, L'Ecuyer & Tremblay 2003, "Efficient
+    simulation of gamma and variance-gamma processes", WSC): given the
+    levels at ``t_lo`` and ``t_hi``, the level at ``t_mid`` takes the
+    ``Beta(alpha*(t_mid - max(t_lo, born)), alpha*(t_hi - t_mid))``
+    fraction of the increment, none when ``t_mid <= born``. After each
+    level, a row whose interval starts at or after its cycle's earliest
+    interval end cannot hold that cycle's first crossing and is dropped, so
+    at the end only rows in the cycle's earliest fine step remain.
+    ``crossing_refinement`` symmetric Beta halvings then localise the
+    crossing inside that step. Cycles without rows read ``inf``.
     """
     h = T / sim.substeps
-    grid = h * np.arange(1, sim.substeps + 1)
-    # built in place: the (rows, substeps) arrays dominate the engine's memory
-    path = rng.standard_gamma(alpha * np.clip(grid - born[:, None], 0.0, h))
-    np.cumsum(path, axis=1, out=path)
-    total = path[:, -1:].copy()
-    path /= np.where(total > 0.0, total, 1.0)
-    path *= (v1 - v0)[:, None]
-    path += v0[:, None]
-    path[:, -1] = v1
-    col = (path >= L).argmax(axis=1)
-    rows = np.arange(v0.size)
-    t_hi = grid[col]
-    if not sim.crossing_refinement:
-        return t_hi
-    v_hi = path[rows, col]
-    v_lo = np.where(col > 0, path[rows, col - 1], v0)
-    # a process born inside the crossing step bridges from its arrival (level 0)
-    t_lo = np.maximum(t_hi - h, born)
-    # Bisection j halves the step, so its mid-level splits by a symmetric
-    # Beta(alpha*s, alpha*s) draw, s = width/2**j: all drawn at once.
-    steps = np.outer(0.5 ** np.arange(1, sim.crossing_refinement + 1), t_hi - t_lo)
-    for frac, step in zip(rng.beta(alpha * steps, alpha * steps), steps):
-        v_mid = v_lo + (v_hi - v_lo) * frac
+    scale = alpha * h
+    at = born / h  # births on the fine-index axis
+    lo = np.zeros(v0.size, dtype=np.intp)
+    hi = np.full(v0.size, sim.substeps)
+    v_lo, v_hi = v0, v1
+    shared = cyc.size > 1 and np.bincount(cyc).max() > 1  # else no row can be dropped
+    for _ in range((sim.substeps - 1).bit_length()):  # ceil(log2(substeps)) levels
+        mid = (lo + hi) >> 1
+        a = mid - np.maximum(lo, at)
+        grown = a > 0.0  # a width-1 interval has mid == lo and never moves
+        frac = rng.beta(np.where(grown, scale * a, 1.0), scale * (hi - mid))
+        v_mid = v_lo + (v_hi - v_lo) * (frac * grown)
         up = v_mid >= L
-        v_hi = np.where(up, v_mid, v_hi)
-        v_lo = np.where(up, v_lo, v_mid)
-        t_lo = np.where(up, t_lo, t_lo + step)
-    return t_lo + step
+        lo, v_lo = np.where(up, lo, mid), np.where(up, v_lo, v_mid)
+        hi, v_hi = np.where(up, mid, hi), np.where(up, v_mid, v_hi)
+        if shared:
+            first = np.full(n, sim.substeps)
+            np.minimum.at(first, cyc, hi)
+            keep = lo < first[cyc]
+            lo, hi, v_lo, v_hi, cyc, at = (x[keep] for x in (lo, hi, v_lo, v_hi, cyc, at))
+    t_hi = h * hi
+    if sim.crossing_refinement:
+        # a process born inside the crossing step bridges from its arrival (level 0)
+        t_lo = h * np.maximum(lo, at)
+        # Halving j splits the step by a symmetric Beta(alpha*s, alpha*s)
+        # draw, s = width/2**j: all drawn at once.
+        steps = np.outer(0.5 ** np.arange(1, sim.crossing_refinement + 1), t_hi - t_lo)
+        for frac, step in zip(rng.beta(alpha * steps, alpha * steps), steps):
+            v_mid = v_lo + (v_hi - v_lo) * frac
+            up = v_mid >= L
+            v_hi = np.where(up, v_mid, v_hi)
+            v_lo = np.where(up, v_lo, v_mid)
+            t_lo = np.where(up, t_lo, t_lo + step)
+        t_hi = t_lo + step
+    cross = np.full(n, np.inf)
+    np.minimum.at(cross, cyc, t_hi)
+    return cross
 
 
 def _simulate_block(
@@ -257,11 +281,12 @@ def _simulate_block(
 
     The live cycles and their processes are flat arrays: each cycle's shock
     carry, and each process's cycle, level and rate. A step draws the shocks
-    and thinned arrivals of every live cycle in one batch, one exact gamma
-    increment per process over the window, takes each cycle's top level and
-    decides them all at once; only the rows that end at or above L get a
-    fine path (:func:`_crossing_times`). Finished cycles leave the arrays.
-    Cycles that never trigger are censored at the inspection cap.
+    and arrivals of every live cycle in one batch, one exact gamma increment
+    per process over the window, takes each cycle's top level and decides
+    them all at once; only the rows that end at or above L are bridged, to
+    date each failed cycle's first crossing (:func:`_first_crossings`).
+    Finished cycles leave the arrays. Cycles that never trigger are
+    censored at the inspection cap.
     """
     policy.validate_against(spec)
     T = policy.inspection_period
@@ -300,8 +325,7 @@ def _simulate_block(
             rows = np.flatnonzero(level >= L)
             v0 = np.concatenate((start, np.zeros(born.size)))[rows]
             b = np.concatenate((np.zeros(n_old), born))[rows]
-            cross = np.full(live.size, np.inf)
-            np.minimum.at(cross, cyc[rows], _crossing_times(rng, alpha, T, sim, L, v0, level[rows], b))
+            cross = _first_crossings(rng, alpha, T, sim, L, cyc[rows], v0, level[rows], b, live.size)
             downtime[live[failed]] = T - cross[failed]
         finished = live[done]
         inspections[finished] = k + 1

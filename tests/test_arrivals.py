@@ -14,9 +14,8 @@ from shotgamma.arrivals import (
     simulate_arrivals,
     simulate_carried_batch,
     simulate_shocks,
-    sort_within_runs,
-    thin_history,
 )
+from shotgamma.arrivals import _cluster_arrivals
 from shotgamma.errors import ValidationError
 from shotgamma.special import integrate
 
@@ -154,6 +153,39 @@ class TestSimulateArrivals:
         expected = expected_num_arrivals(BENCH_SCENARIO, 5.0)
         assert abs(counts.mean() - expected) <= 3 * se
 
+    @pytest.mark.parametrize("carry", [0.0, 2.5])
+    def test_time_rescaling_on_a_fixed_history(self, carry):
+        # Given the shocks, the compensator Lambda(t) = lambda0*t +
+        # sum (c_j/delta)*(1 - exp(-delta*(t - s_j))) over the opening carry
+        # (s = 0) and the shocks maps each run's arrivals to a unit-rate
+        # Poisson process: Lambda(t)/Lambda(H) is uniform given the count,
+        # and the count is Poisson(Lambda(H)).
+        horizon, d = 6.0, BENCH_SCENARIO.delta
+        shocks = np.array([0.4, 1.1, 1.15, 3.0, 5.2, 5.9])
+        starts = np.concatenate(([0.0], shocks))
+        weights = np.concatenate(([carry], np.ones(shocks.size)))
+
+        def compensator(t):
+            lag = np.maximum(t[:, None] - starts, 0.0)
+            return BENCH_SCENARIO.lambda0 * t + (weights * -np.expm1(-d * lag) / d).sum(axis=1)
+
+        rng = np.random.default_rng(15)
+        n = 4000
+        if carry == 0.0:
+            history = ShockTrajectory(horizon=horizon, shock_times=shocks)
+            runs = [simulate_arrivals(BENCH_SCENARIO, history, horizon, rng).arrival_times
+                    for _ in range(n)]
+            counts = np.array([r.size for r in runs])
+            times = np.concatenate(runs)
+        else:
+            sh_run = np.repeat(np.arange(n), shocks.size)
+            run_ids, times, _ = _cluster_arrivals(BENCH_SCENARIO, horizon, np.full(n, carry),
+                                                  sh_run, np.tile(shocks, n), rng)
+            counts = np.bincount(run_ids, minlength=n)
+        total = float(compensator(np.array([horizon]))[0])
+        assert kstest(compensator(times) / total, "uniform").pvalue > 1e-3
+        assert abs(counts.mean() - total) <= 4 * np.sqrt(total / n)
+
     def test_horizon_validation(self):
         rng = np.random.default_rng(0)
         shocks = simulate_shocks(BENCH_SCENARIO, 2.0, rng)
@@ -202,18 +234,6 @@ class TestBatchSampler:
         _, times = simulate_arrival_batch(BENCH_SCENARIO, 3.0, 500, rng)
         assert np.all((times >= 0) & (times <= 3.0))
 
-    def test_single_run_matches_single_history_sampler(self):
-        # one batch run draws the same stream as simulate_shocks followed by
-        # thin_history, so the rank-wise carries must reproduce the scalar
-        # recursion and give the same arrivals in the same order
-        for seed in range(5):
-            run_ids, times = simulate_arrival_batch(BENCH_SCENARIO, 30.0, 1, np.random.default_rng(seed))
-            rng = np.random.default_rng(seed)
-            shocks = simulate_shocks(BENCH_SCENARIO, 30.0, rng)
-            want = thin_history(BENCH_SCENARIO, shocks.shock_times, 30.0, 0.0, rng)
-            assert np.all(run_ids == 0)
-            assert np.array_equal(times, want)
-
     @pytest.mark.parametrize(
         "params, horizon",
         [(BENCH_SCENARIO, 20.0), (BENCH_SCENARIO, 60.0), (BENCH_SCENARIO, 100.0),
@@ -232,20 +252,24 @@ class TestBatchSampler:
 
 
 class TestCarriedBatch:
-    def test_single_run_matches_single_history_sampler_with_carry(self):
-        # an opening carry enters the first segment and the recursion exactly
-        # as in thin_history, and the end carry is the decayed shock sum
-        for seed in range(5):
-            carry = np.array([0.5 + seed])
-            run_ids, times, end = simulate_carried_batch(BENCH_SCENARIO, 8.0, carry, np.random.default_rng(seed))
-            rng = np.random.default_rng(seed)
-            shocks = simulate_shocks(BENCH_SCENARIO, 8.0, rng)
-            want = thin_history(BENCH_SCENARIO, shocks.shock_times, 8.0, float(carry[0]), rng)
-            assert np.all(run_ids == 0)
-            assert np.array_equal(times, want)
-            d = BENCH_SCENARIO.delta
-            want_end = carry[0] * np.exp(-d * 8.0) + np.exp(-d * (8.0 - shocks.shock_times)).sum()
-            assert end[0] == pytest.approx(want_end, rel=1e-12)
+    def test_mean_end_carry_matches_closed_form(self):
+        # E[end carry] = c*exp(-delta*H) + mu*(1 - exp(-delta*H))/delta
+        rng = np.random.default_rng(13)
+        n, horizon, c = 40_000, 3.0, 1.7
+        _, _, end = simulate_carried_batch(BENCH_SCENARIO, horizon, np.full(n, c), rng)
+        d, mu = BENCH_SCENARIO.delta, BENCH_SCENARIO.mu
+        want = c * np.exp(-d * horizon) + mu * -np.expm1(-d * horizon) / d
+        se = end.std(ddof=1) / np.sqrt(n)
+        assert abs(end.mean() - want) <= 4 * se
+
+    def test_times_inside_horizon_at_steep_decay(self):
+        # delta * horizon = 600 with an opening carry: a child's truncated
+        # exponential age must not round past the horizon
+        params = ShotNoiseParams(1.0, 2.0, 50.0)
+        rng = np.random.default_rng(14)
+        run_ids, times, end = simulate_carried_batch(params, 12.0, np.full(5000, 3.0), rng)
+        assert times.size > 0 and np.all((times > 0.0) & (times <= 12.0))
+        assert np.all((run_ids >= 0) & (run_ids < 5000)) and np.all(end >= 0.0)
 
     def test_zero_carry_is_the_plain_batch(self):
         a = simulate_arrival_batch(BENCH_SCENARIO, 5.0, 300, np.random.default_rng(3))
@@ -264,22 +288,3 @@ class TestCarriedBatch:
             counts += np.bincount(run_ids, minlength=n)
             se = counts.std(ddof=1) / np.sqrt(n)
             assert abs(counts.mean() - expected_num_arrivals(BENCH_SCENARIO, 2.5 * (k + 1))) <= 4 * se
-
-
-class TestSortWithinRuns:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_equals_lexsort_on_random_and_tied_input(self, seed):
-        rng = np.random.default_rng(seed)
-        runs = np.repeat(np.arange(300), rng.poisson(4.0, 300))
-        times = rng.uniform(0.0, 7.0, runs.size)
-        tied = np.round(times, 1)  # many exact ties inside runs
-        for t in (times, tied):
-            assert np.array_equal(sort_within_runs(runs, t, 7.0), t[np.lexsort((t, runs))])
-        shuffled = rng.permutation(runs)
-        assert np.array_equal(sort_within_runs(shuffled, times, 7.0), times[np.lexsort((times, shuffled))])
-
-    def test_falls_back_where_the_key_merges_times(self):
-        # at run 2**53 the key's spacing is 4, so 0.7 and 0.3 share one key
-        runs = np.full(2, 2**53)
-        times = np.array([0.7, 0.3])
-        assert np.array_equal(sort_within_runs(runs, times, 1.0), [0.3, 0.7])

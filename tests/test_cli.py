@@ -64,6 +64,24 @@ class TestConfig:
         assert rc == 1
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["16.7", "true", "'x'", "null"])
+    @pytest.mark.parametrize(
+        "field, line, template",
+        [("simulation.substeps", "substeps: 16", "substeps: {}"),
+         ("simulation.max_inspections", "max_inspections: 200", "max_inspections: {}"),
+         ("simulation.crossing_refinement", "max_inspections: 200",
+          "max_inspections: 200, crossing_refinement: {}"),
+         ("simulation.n_cycles", "n_cycles: 120", "n_cycles: {}"),
+         ("master_seed", "master_seed: 33", "master_seed: {}"),
+         ("n_trajectories", "n_trajectories: 4000", "n_trajectories: {}")],
+    )
+    def test_non_integer_fields_rejected(self, tmp_path, field, line, template, bad):
+        # a float, bool, string or null must not be coerced to an int
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_CONFIG.replace(line, template.format(bad)))
+        with pytest.raises(ValidationError, match=field.replace(".", r"\.")):
+            load_config(str(path))
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["optimize", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
         assert rc == 1

@@ -282,6 +282,43 @@ class TestObservationsAndLikelihood:
         with pytest.raises(ValidationError):
             DegradationObservations(times=[[1.0, 2.0]], levels=[[1.0, 0.5]])
 
+    def test_flat_validation_matches_per_process_loop(self):
+        # random valid and broken processes: the flat checks must raise the
+        # loop's message for its first failing process, or give its arrays
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            times, levels = [], []
+            for _ in range(rng.integers(0, 5)):
+                k = rng.integers(0, 5)
+                t = np.cumsum(rng.uniform(0.1, 1.0, k))
+                x = np.cumsum(rng.uniform(0.0, 1.0, k))
+                if k and rng.uniform() < 0.15:
+                    t, x = np.r_[0.0, t], np.r_[rng.choice([0.0, 0.3]), x]
+                if k > 1 and rng.uniform() < 0.1:
+                    t[rng.integers(k)] = t[0]
+                if k > 1 and rng.uniform() < 0.1:
+                    x[rng.integers(k)] = -0.5
+                if k and rng.uniform() < 0.05:
+                    x = x[:-1]
+                if k and rng.uniform() < 0.05:
+                    t[0] = -1.0
+                times.append(t)
+                levels.append(x)
+            want = _reference_observations(times, levels)
+            if isinstance(want, str):
+                with pytest.raises(ValidationError, match=want):
+                    DegradationObservations(times=times, levels=levels)
+                continue
+            data = DegradationObservations(times=times, levels=levels)
+            assert data.n_processes == len(want[0])
+            for got, ref in zip((data.times, data.levels), want):
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            flat = [np.concatenate([np.empty(0)] + [np.diff(v, prepend=0.0) for v in parts])
+                    for parts in want]
+            assert np.array_equal(data.steps, flat[0]) and np.array_equal(data.increments, flat[1])
+            assert np.array_equal(data.end_times, [t[-1] for t in want[0]])
+            assert np.array_equal(data.end_levels, [x[-1] for x in want[1]])
+
     def test_zero_increment_rejected_by_likelihood(self):
         data = DegradationObservations(times=[[1.0, 2.0]], levels=[[1.0, 1.0]])
         with pytest.raises(ValidationError):
@@ -370,6 +407,28 @@ def _reference_log_likelihood(alpha, a, b, data):
         s_n = alpha * t[-1] - 1.0
         total += _scalar_log_gamma_diff(s_n, x[-1] / b, x[-1] / a) - s_n * np.log(x[-1])
     return total
+
+
+def _reference_observations(times, levels):
+    """The per-process validation loop: the message of the first failing check, or the cleaned arrays."""
+    clean_t, clean_x = [], []
+    for t, x in zip(times, levels):
+        t, x = np.asarray(t, float), np.asarray(x, float)
+        if t.size == 0:
+            return "a process has no observations"
+        if t.size != x.size:
+            return "times and levels differ in length"
+        if t[0] == 0.0:
+            if x[0] != 0.0:
+                return "a time-0 observation must have level 0"
+            t, x = t[1:], x[1:]
+        if t.size == 0 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
+            return "observation times must be strictly increasing and positive"
+        if x[0] < 0 or np.any(np.diff(x) < 0):
+            return "levels must be non-negative and non-decreasing"
+        clean_t.append(t)
+        clean_x.append(x)
+    return clean_t, clean_x
 
 
 class TestVectorisedLikelihood:

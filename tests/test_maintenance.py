@@ -16,7 +16,7 @@ from shotgamma.maintenance import (
     CostRates,
     PolicyParams,
     SimControl,
-    _crossing_times,
+    _first_crossings,
     _simulate_block,
     cycle_rng,
     estimate_cost_rate,
@@ -30,6 +30,22 @@ SPEC = SystemSpec(PARAMS, GammaModel.deterministic(1.1, 1.4), 10.0)
 COSTS = CostRates(preventive=100.0, corrective=200.0, inspection=50.0, downtime_rate=60.0)
 POLICY = PolicyParams(19.0 / 3.0, 43.0 / 7.0)
 SIM = SimControl()
+
+
+def _pure_corrective_exact(T):
+    """Exact cost rate and E[R] at M = L, where every cycle ends at the first inspection after the failure.
+
+    The rate is (C_I E[N] + C_c + C_d (E[R] - E[sigma_L])) / E[R] with
+    E[N] = sum_k S_L(kT) and E[R] = T E[N].
+    """
+    from shotgamma.lifetime import first_passage_law
+    from shotgamma.special import integrate
+
+    law = first_passage_law(SPEC, SPEC.failure_threshold, 60.0)
+    e_sigma = integrate(lambda t: float(law.survival(t)), 0.0, 60.0)
+    e_n = law.survival(T * np.arange(int(60.0 / T) + 1)).sum()
+    e_r = T * e_n
+    return (COSTS.inspection * e_n + COSTS.corrective + COSTS.downtime_rate * (e_r - e_sigma)) / e_r, e_r
 
 
 class TestTypes:
@@ -51,6 +67,12 @@ class TestTypes:
     def test_sim_control_validation(self):
         with pytest.raises(ValidationError):
             SimControl(substeps=0)
+        for bad in (16.7, True, "16", None):
+            with pytest.raises(ValidationError, match="substeps"):
+                SimControl(substeps=bad)
+        with pytest.raises(ValidationError, match="crossing_refinement"):
+            SimControl(crossing_refinement=False)
+        assert type(SimControl(substeps=np.int64(8)).substeps) is int
 
 
 class TestSimulateCycle:
@@ -236,9 +258,9 @@ class TestBlockEngine:
     @pytest.mark.parametrize("v0, born, threshold", [(7.0, 0.0, 10.0), (0.0, 2.3, 3.0)])
     def test_bridge_crossing_column_matches_direct_fine_grid(self, v0, born, threshold):
         # Rows alive at the window start (v0 = 7) and rows born inside step 7
-        # of 16 (born = 2.3, T = 6): the crossing column of the Dirichlet
-        # bridge between the window's endpoints must have the law of the
-        # column read off independent fine-grid increments.
+        # of 16 (born = 2.3, T = 6), each its own cycle: the crossing column
+        # of the bisected bridge between the window's endpoints must have
+        # the law of the column read off independent fine-grid increments.
         alpha, rate, T, n = 1.1, 1.4, 6.0, 60_000
         sim = SimControl()
         h = T / sim.substeps
@@ -250,8 +272,8 @@ class TestBlockEngine:
         col_direct = (direct >= threshold).argmax(axis=1)
         v1 = v0 + rng.standard_gamma(alpha * (T - born), size=n) / rate
         v1 = v1[v1 >= threshold]
-        t_cross = _crossing_times(rng, alpha, T, sim, threshold, np.full(v1.size, v0), v1,
-                                  np.full(v1.size, born))
+        t_cross = _first_crossings(rng, alpha, T, sim, threshold, np.arange(v1.size),
+                                   np.full(v1.size, v0), v1, np.full(v1.size, born), v1.size)
         col_bridge = np.rint(t_cross / h).astype(int) - 1
         assert np.array_equal(grid[col_bridge], t_cross)
         table = np.array([np.bincount(c, minlength=sim.substeps) for c in (col_direct, col_bridge)])
@@ -259,19 +281,59 @@ class TestBlockEngine:
         assert table.shape[1] >= 5
         assert chi2_contingency(table).pvalue > 1e-3
 
+    @pytest.mark.parametrize("substeps", [16, 10])
+    def test_first_crossing_column_of_many_rows_matches_direct_minimum(self, substeps):
+        # 2-6 rows per cycle with mixed births and start levels: the earliest
+        # crossing column of a cycle, after the bisection drops the rows that
+        # cannot be earliest, must have the law of the minimum over the
+        # cycle's rows of columns read off independent full fine paths.
+        alpha, rate, T, threshold, n = 1.1, 1.4, 6.0, 3.0, 20_000
+        sim = SimControl(substeps=substeps)
+        h = T / substeps
+        grid = h * np.arange(1, substeps + 1)
+        design = np.random.default_rng(32)
+        cyc = np.repeat(np.arange(n), design.integers(2, 7, size=n))
+        alive = design.uniform(size=cyc.size) < 0.5
+        v0 = np.where(alive, design.choice([0.5, 1.5, 2.5], size=cyc.size), 0.0)
+        born = np.where(alive, 0.0, design.uniform(0.0, 3.0, size=cyc.size))
+
+        rng = np.random.default_rng(33)
+        dts = np.minimum(np.maximum(grid - born[:, None], 0.0), h)
+        direct = v0[:, None] + np.cumsum(rng.standard_gamma(alpha * dts) / rate, axis=1)
+        crosses = direct[:, -1] >= threshold
+        col = np.where(crosses, (direct >= threshold).argmax(axis=1), substeps)
+        col_direct = np.full(n, substeps)
+        np.minimum.at(col_direct, cyc, col)
+        col_direct = col_direct[col_direct < substeps]
+
+        v1 = v0 + rng.standard_gamma(alpha * (T - born)) / rate
+        rows = v1 >= threshold
+        t_cross = _first_crossings(rng, alpha, T, sim, threshold, cyc[rows], v0[rows], v1[rows],
+                                   born[rows], n)
+        t_cross = t_cross[np.isfinite(t_cross)]
+        col_bridge = np.rint(t_cross / h).astype(int) - 1
+        assert np.array_equal(grid[col_bridge], t_cross)
+        table = np.array([np.bincount(c, minlength=substeps) for c in (col_direct, col_bridge)])
+        table = table[:, table.sum(axis=0) >= 20]
+        assert table.shape[1] >= 5
+        assert chi2_contingency(table).pvalue > 1e-3
+
+    @pytest.mark.parametrize("T", [1.0, 9.0, 25.0])
+    def test_pure_corrective_rate_within_grid_bias(self, T):
+        # At the default SimControl a failure is dated at the next fine-grid
+        # point, so downtime is low by at most T/substeps per cycle: the
+        # estimate must lie in [exact - C_d*T/(substeps*E[R]) - 4 SE, exact + 4 SE].
+        exact, e_r = _pure_corrective_exact(T)
+        est = estimate_cost_rate(SPEC, PolicyParams(T, SPEC.failure_threshold), COSTS, 20_000,
+                                 SIM, 27, 0)
+        bias = COSTS.downtime_rate * T / (SIM.substeps * e_r)
+        assert est.corrective_fraction == 1.0
+        assert exact - bias - 4 * est.std_error <= est.point <= exact + 4 * est.std_error
+
     @pytest.mark.parametrize("T", [1.0, 9.0, 25.0])
     def test_pure_corrective_rate_matches_exact(self, T):
-        # M = L: every cycle ends at the first inspection after the failure,
-        # so the rate is (C_I E[N] + C_c + C_d (E[R] - E[sigma_L])) / E[R]
-        # with E[N] = sum_k S_L(kT); 20000 cycles, |z| <= 4
-        from shotgamma.lifetime import first_passage_law
-        from shotgamma.special import integrate
-
-        law = first_passage_law(SPEC, SPEC.failure_threshold, 60.0)
-        e_sigma = integrate(lambda t: float(law.survival(t)), 0.0, 60.0)
-        e_n = law.survival(T * np.arange(int(60.0 / T) + 1)).sum()
-        e_r = T * e_n
-        exact = (COSTS.inspection * e_n + COSTS.corrective + COSTS.downtime_rate * (e_r - e_sigma)) / e_r
+        # 20000 cycles with 14 refinement halvings: |z| <= 4
+        exact, _ = _pure_corrective_exact(T)
         est = estimate_cost_rate(SPEC, PolicyParams(T, SPEC.failure_threshold), COSTS, 20_000,
                                  SimControl(crossing_refinement=14), 24, 0)
         assert est.corrective_fraction == 1.0
