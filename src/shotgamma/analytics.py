@@ -14,10 +14,10 @@ corrective probability is ``S_M(a) - V_k(T)``, its downtime
 ``int_0^T (S_M(a) - V_k(d)) dd``, and its preventive probability the rest
 of the survival drop ``S_M(a) - S_M(a+T)``.
 
-Splits and downtimes are supported for the deterministic-scale model only:
-under random effects each process carries its own rate, which the void
-table, built for one rate, does not average over. Cycle length and
-inspection counts are exact under both scale specifications.
+Every quantity holds under both scale models. Under random effects each
+process's rate is one more independent mark of the Cox process, so the
+probability that an arrival is bad is the one-rate probability averaged
+over ``GammaModel.rate_nodes``.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class PolicyAnalytics:
         # S_M(min(iT, t_max)) for i = 0 .. k_max + 3, which reaches past t_max
         i_t = np.minimum(T * np.arange(k_max + 4), self._passage.t_max)
         self._survival = self._passage.survival(i_t)
-        self._deterministic = not spec.growth.has_random_effects
         self._log_voids = None
         self._gap = None
 
@@ -128,12 +127,6 @@ class PolicyAnalytics:
 
     # -- window quantities ----------------------------------------------
 
-    def _require_deterministic(self):
-        if not self._deterministic:
-            raise ValidationError(
-                "preventive/corrective split requires a deterministic scale model"
-            )
-
     def secondary_void(self, u: float, v: float) -> float:
         """P(no other process crosses the failure level in (u, v]), approximately.
 
@@ -144,7 +137,8 @@ class PolicyAnalytics:
         the preventive to the failure level by its unconditional law and
         the secondary crossings as independent of the first one.
         """
-        self._require_deterministic()
+        if self.spec.growth.has_random_effects:
+            raise ValidationError("secondary_void's gap law requires a deterministic scale model")
         if v <= u:
             return 1.0
         gap_surv, shock_conv = self._gap_law()
@@ -202,7 +196,7 @@ class PolicyAnalytics:
         spec, arr = self.spec, self.spec.arrivals
         T = self.policy.inspection_period
         M, L = self.policy.preventive_threshold, spec.failure_threshold
-        alpha, beta = spec.growth.shape_rate, spec.growth.scale_spec.beta
+        alpha = spec.growth.shape_rate
         nodes, _ = leggauss(_D_NODES)
         d = np.append(0.5 * T * (nodes + 1.0), T)
         per = int(np.ceil(T / _R_STEP))
@@ -219,16 +213,20 @@ class PolicyAnalytics:
         c = 0.5 * M
         x_lo, x_hi, w = c * t**3, M - c * t**3, 3.0 * c * t**2 * w
         shape = alpha * d
-        z = beta * (L - x_lo)[:, None]
-        f_d = beta * np.exp((shape - 1.0) * np.log(z) - z - sp.gammaln(shape))
         a = alpha * r[:, None]
-        p_r = beta * np.exp((a - 1.0) * np.log(beta * x_hi) - beta * x_hi - sp.gammaln(a))
-        g = (
-            sp.gammaincc(alpha * r, beta * M)[:, None]
-            + sp.gammainc(alpha * r, beta * c)[:, None] * sp.gammaincc(shape, beta * (L - c))
-            - sp.gammainc(a, beta * x_lo) @ (w[:, None] * f_d)
-            + p_r @ (w[:, None] * sp.gammaincc(shape, beta * (L - x_hi)[:, None]))
-        )
+        # Each arrival draws its own rate, one more independent mark of the
+        # Cox process, so g is the one-rate g averaged over the rate nodes.
+        g = 0.0
+        for beta, weight in zip(*spec.growth.rate_nodes()):
+            z = beta * (L - x_lo)[:, None]
+            f_d = beta * np.exp((shape - 1.0) * np.log(z) - z - sp.gammaln(shape))
+            p_r = beta * np.exp((a - 1.0) * np.log(beta * x_hi) - beta * x_hi - sp.gammaln(a))
+            g = g + weight * (
+                sp.gammaincc(alpha * r, beta * M)[:, None]
+                + sp.gammainc(alpha * r, beta * c)[:, None] * sp.gammaincc(shape, beta * (L - c))
+                - sp.gammainc(a, beta * x_lo) @ (w[:, None] * f_d)
+                + p_r @ (w[:, None] * sp.gammaincc(shape, beta * (L - x_hi)[:, None]))
+            )
         g = np.ascontiguousarray(g.T)
         base_l, shock_l, q_l = first_passage_law(spec, L, T).exposures(d)
         conv = _decayed_convolution(g, h, arr.delta)
@@ -247,7 +245,6 @@ class PolicyAnalytics:
         ``M = L`` the first crossing is the failure, so ``V_k(d) = S_L(a+d)``
         and ``P_p = 0``.
         """
-        self._require_deterministic()
         T = self.policy.inspection_period
         s_a = float(self._passage.survival(k * T))
         s_tau = float(self._passage.survival((k + 1) * T))

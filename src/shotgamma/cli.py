@@ -120,7 +120,7 @@ def cmd_fit(config: ExperimentConfig, args, outdir: Path) -> int:
     grid = np.linspace(
         float(fit_cfg.get("grid_start", 0.02)),
         float(fit_cfg.get("grid_stop", min(0.9 * center, 0.6))),
-        int(fit_cfg.get("grid_count", 30)),
+        fit_cfg.get("grid_count", 30),
     )
     alpha = config.system.growth.shape_rate
     est, nll, scanned, values = fit_half_width(alpha, center, data, grid, full_output=True)
@@ -181,7 +181,7 @@ def cmd_sensitivity(config: ExperimentConfig, args, outdir: Path) -> int:
     if not axis1 or not axis2:
         raise ValidationError("sensitivity.axis1 and axis2 must be non-empty")
     costs = config.costs_or_error()
-    n_cycles = int(sens.get("n_cycles", config.n_cycles))
+    n_cycles = sens.get("n_cycles", config.n_cycles)
     if kind == "parameters":
         t_grid, m_grid = config.grids_or_error()
         rows = sensitivity_sweep(
@@ -260,13 +260,10 @@ def _validation_checks(config: ExperimentConfig, scale: float):
     yield "lifetime_mc_overlay", worst <= 0.02 * scale, f"max gap={worst:.4f} tol={0.02 * scale:.2g}"
 
     if spec.growth.has_random_effects:
-        model = spec.growth
-        ss = model.scale_spec
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(12,)))
         t = 5.0
-        theta = rng.uniform(ss.a, ss.b, size=200000)
-        draws = rng.gamma(model.shape_rate * t, theta)
-        mean, var, _ = random_effect_moments(model, t)
+        draws = rng.gamma(spec.growth.shape_rate * t, 1.0 / spec.growth.draw_rates(rng, 200000))
+        mean, var, _ = random_effect_moments(spec.growth, t)
         z_m = abs(draws.mean() - mean) / (draws.std(ddof=1) / np.sqrt(draws.size))
         yield "random_effect_mean", z_m <= 4.0 * scale, f"|z|={z_m:.2f}"
 

@@ -72,6 +72,12 @@ def _integer(section: dict, key: str, default: int, where: str, minimum: int) ->
     return value
 
 
+def _number(value, where: str) -> None:
+    """Reject ``value`` unless it is an integer or a float: never a bool, string or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where} must be a number, got {value!r}")
+
+
 def _grid_from(node, where: str) -> np.ndarray:
     if isinstance(node, (list, tuple)):
         return np.asarray(node, float)
@@ -262,14 +268,28 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
     n_cycles = _integer(sim_raw, "n_cycles", 6000, "simulation.n_cycles", 1)
 
+    # The CLI has its own defaults for these sections; only given keys are checked.
     fit_raw = raw.get("fit", {}) or {}
     _require_keys(fit_raw, {"center", "grid_start", "grid_stop", "grid_count", "data"}, "fit")
+    for key in ("center", "grid_start", "grid_stop"):
+        if key in fit_raw:
+            _number(fit_raw[key], f"fit.{key}")
+    if "grid_count" in fit_raw:
+        _integer(fit_raw, "grid_count", None, "fit.grid_count", 1)
     sens_raw = raw.get("sensitivity", {}) or {}
-    _require_keys(
-        sens_raw, {"kind", "axis1", "axis2", "n_cycles"}, "sensitivity"
-    )
+    _require_keys(sens_raw, {"kind", "axis1", "axis2", "n_cycles"}, "sensitivity")
+    for key in ("axis1", "axis2"):
+        axis = sens_raw.get(key, [])
+        if not isinstance(axis, list):
+            raise ValidationError(f"sensitivity.{key} must be a list of numbers, got {axis!r}")
+        for i, value in enumerate(axis):
+            _number(value, f"sensitivity.{key}[{i}]")
+    if "n_cycles" in sens_raw:
+        _integer(sens_raw, "n_cycles", None, "sensitivity.n_cycles", 1)
     val_raw = raw.get("validation", {}) or {}
     _require_keys(val_raw, {"tolerance_scale"}, "validation")
+    if "tolerance_scale" in val_raw:
+        _number(val_raw["tolerance_scale"], "validation.tolerance_scale")
 
     return ExperimentConfig(
         system=system,

@@ -1,10 +1,11 @@
 """Gamma-process growth: increments, hitting-time laws and random effects.
 
 A degradation path grows with independent ``Gamma(shape_rate * dt, rate)``
-increments. The module provides the per-process rate draw, the first
-hitting-time law of a level, the survival law of the gap between the
-crossings of two levels (via the overshoot distribution at the lower
-level), and the uniform-inverse-scale random-effects model with its
+increments, at one known rate or at a rate drawn per process with its
+inverse uniform on ``(a, b)`` (random effects); only ``GammaModel`` tells
+the two apart. The module provides the hitting-time law of a level, the
+survival law of the gap between the crossings of two levels (via the
+overshoot distribution at the lower level), and the random-effects
 moments, density and likelihood.
 """
 
@@ -48,6 +49,7 @@ class UniformInverseScale:
 
 
 ScaleSpec = DeterministicScale | UniformInverseScale
+_RATE_NODES = 64  # Gauss-Legendre nodes of the average over a uniform inverse scale
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,31 @@ class GammaModel:
     def has_random_effects(self) -> bool:
         return isinstance(self.scale_spec, UniformInverseScale)
 
+    @property
+    def min_rate(self) -> float:
+        """The smallest rate a process can have: ``beta``, or ``1/b`` under random effects."""
+        spec = self.scale_spec
+        return spec.beta if isinstance(spec, DeterministicScale) else 1.0 / spec.b
+
+    def rate_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rates and weights that average a one-rate law over the scale law:
+        ``beta`` at weight 1, or Gauss-Legendre nodes in the inverse rate."""
+        spec = self.scale_spec
+        if isinstance(spec, DeterministicScale):
+            return np.array([spec.beta]), np.ones(1)
+        nodes, weights = leggauss(_RATE_NODES)
+        theta = 0.5 * (spec.b - spec.a) * nodes + 0.5 * (spec.a + spec.b)
+        return 1.0 / theta, 0.5 * weights
+
+    def with_axes(self, shape_rate: float, scale_value: float) -> "GammaModel":
+        """This model at a new shape rate and scale axis: the rate, or the
+        inverse-rate center at the same half-width under random effects."""
+        spec = self.scale_spec
+        if isinstance(spec, DeterministicScale):
+            return GammaModel(shape_rate, DeterministicScale(scale_value))
+        half = 0.5 * (spec.b - spec.a)
+        return GammaModel(shape_rate, UniformInverseScale(scale_value - half, scale_value + half))
+
     def draw_rates(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Process-specific rates, drawn once per process and held fixed.
 
@@ -88,27 +115,41 @@ class GammaModel:
 
 
 # ---------------------------------------------------------------------------
-# Hitting-time laws (deterministic scale)
+# Hitting-time laws
+
+
+class HittingLaw:
+    """CDF/pdf of the first time a degradation process reaches a level.
+
+    At one rate the CDF is the chance that the level at ``t`` exceeds the
+    threshold, ``Q(shape_rate * t, rate * threshold)``, averaged over the
+    growth model's ``rate_nodes``.
+    """
+
+    def __init__(self, growth: GammaModel, threshold: float):
+        if threshold <= 0:
+            raise ValidationError("threshold must be positive")
+        self.growth = growth
+        self.threshold = threshold
+
+    def cdf(self, t) -> np.ndarray:
+        t_arr = np.asarray(t, float)
+        if np.any(t_arr < 0):
+            raise ValidationError("time must be non-negative")
+        rates, weights = self.growth.rate_nodes()
+        out = np.zeros_like(t_arr)
+        pos = t_arr > 0
+        shapes = self.growth.shape_rate * t_arr[pos][:, None]
+        out[pos] = sp.gammaincc(shapes, rates * self.threshold) @ weights
+        return float(out) if np.isscalar(t) else out
+
+    def pdf(self, t) -> np.ndarray:
+        return difference_pdf(self.cdf, t)
 
 
 def hitting_cdf(shape_rate: float, rate: float, threshold: float, t) -> np.ndarray:
-    """Distribution function of the first time a path reaches ``threshold``.
-
-    Identical to the probability that the level at ``t`` already exceeds the
-    threshold, which is the regularized upper gamma ratio evaluated at
-    ``(shape_rate * t, rate * threshold)``.
-    """
-    if threshold <= 0:
-        raise ValidationError("threshold must be positive")
-    if rate <= 0 or shape_rate <= 0:
-        raise ValidationError("gamma parameters must be positive")
-    t_arr = np.asarray(t, float)
-    if np.any(t_arr < 0):
-        raise ValidationError("time must be non-negative")
-    out = np.zeros_like(t_arr)
-    pos = t_arr > 0
-    out[pos] = sp.gammaincc(shape_rate * t_arr[pos], rate * threshold)
-    return float(out) if np.isscalar(t) else out
+    """The hitting CDF at one known rate."""
+    return HittingLaw(GammaModel.deterministic(shape_rate, rate), threshold).cdf(t)
 
 
 def difference_pdf(cdf, t) -> np.ndarray:
@@ -130,8 +171,13 @@ def difference_pdf(cdf, t) -> np.ndarray:
     f_lo = cdf(lo)
     out = (f_hi - f_lo) / (hi - lo)
     interior = (f_lo > 1e-14) & (f_lo < 1.0 - 1e-12)
-    if np.any(interior & (f_hi == f_lo)):
-        raise NumericalError("hitting density difference quotient lost all significant digits")
+    lost = np.flatnonzero(interior & (f_hi == f_lo))
+    if lost.size:
+        i = lost[np.argmin(t_arr[lost])]
+        raise NumericalError(
+            f"hitting density difference quotient lost all significant digits at t={t_arr[i]:.10g} "
+            f"(step {h[i]:.3g}, cdf {f_lo[i]:.17g})"
+        )
     out = np.maximum(out, 0.0)
     return float(out[0]) if np.isscalar(t) else out
 
@@ -325,21 +371,8 @@ def random_effect_pdf(model: GammaModel, t: float, u) -> np.ndarray:
 
 def random_effect_hitting_cdf(model: GammaModel, threshold: float, t) -> np.ndarray:
     """Hitting-law mixture: the deterministic CDF averaged over the scale draw."""
-    spec = _require_uniform(model)
-    if threshold <= 0:
-        raise ValidationError("threshold must be positive")
-    t_arr = np.atleast_1d(np.asarray(t, float))
-    if np.any(t_arr < 0):
-        raise ValidationError("time must be non-negative")
-    nodes, weights = leggauss(64)
-    theta = 0.5 * (spec.b - spec.a) * nodes + 0.5 * (spec.a + spec.b)
-    out = np.zeros_like(t_arr)
-    pos = t_arr > 0
-    if np.any(pos):
-        shapes = model.shape_rate * t_arr[pos]
-        vals = sp.gammaincc(shapes[:, None], threshold / theta[None, :])
-        out[pos] = vals @ (0.5 * weights)
-    return float(out[0]) if np.isscalar(t) else out
+    _require_uniform(model)
+    return HittingLaw(model, threshold).cdf(t)
 
 
 def random_effect_moments(model: GammaModel, t: float) -> tuple[float, float, float]:

@@ -17,13 +17,7 @@ from scipy import special as sp
 
 from .arrivals import ShotNoiseParams, expected_intensity
 from .arrivals import simulate_arrival_batch  # noqa: F401 -- shotbench/tracing.py rebinds it
-from .degradation import (
-    DeterministicScale,
-    GammaModel,
-    difference_pdf,
-    hitting_cdf,
-    random_effect_hitting_cdf,
-)
+from .degradation import GammaModel, HittingLaw
 from .errors import ValidationError
 from .special import leggauss
 
@@ -58,25 +52,6 @@ class LifetimeCurve:
             fh.write(",".join(names) + "\n")
             for row in zip(*(np.asarray(cols[n], float) for n in names)):
                 fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
-
-
-class HittingLaw:
-    """CDF/pdf of the first time a degradation process reaches a level."""
-
-    def __init__(self, growth: GammaModel, threshold: float):
-        if threshold <= 0:
-            raise ValidationError("threshold must be positive")
-        self.growth = growth
-        self.threshold = threshold
-
-    def cdf(self, t) -> np.ndarray:
-        spec = self.growth.scale_spec
-        if isinstance(spec, DeterministicScale):
-            return hitting_cdf(self.growth.shape_rate, spec.beta, self.threshold, t)
-        return random_effect_hitting_cdf(self.growth, self.threshold, t)
-
-    def pdf(self, t) -> np.ndarray:
-        return difference_pdf(self.cdf, t)
 
 
 class FirstPassageLaw:
@@ -119,8 +94,12 @@ class FirstPassageLaw:
         A scalar ``t`` gives a float, or a tuple of floats.
         """
         t_arr = np.atleast_1d(np.asarray(t, float))
-        if np.any(t_arr < 0) or np.any(t_arr > self.t_max + 1e-9):
-            raise ValidationError(f"time outside cached range [0, {self.t_max}]")
+        outside = (t_arr < 0) | (t_arr > self.t_max + 1e-9)
+        if np.any(outside):
+            raise ValidationError(
+                f"time {t_arr[outside][0]:.10g} outside cached range [0, {self.t_max}] "
+                f"of the first-passage law of level {self.law.threshold:g}"
+            )
         out = evaluate(t_arr, np.clip(t_arr, 0.0, self.t_max))
         if not np.isscalar(t):
             return out
@@ -256,8 +235,8 @@ class HittingTimeSampler:
     ``scipy.special.gdtrib``, to about 1e-15 in probability, for a shared
     rate and per-draw rates alike; path discretization never enters
     lifetime studies. ``F`` falls in the rate, so :meth:`cdf_bound`, ``F``
-    at the smallest rate the growth model allows (``beta``, or ``1/b``
-    under random effects), bounds the hitting probability of every process.
+    at the smallest rate the growth model allows (``GammaModel.min_rate``),
+    bounds the hitting probability of every process.
     """
 
     def __init__(self, growth: GammaModel, threshold: float):
@@ -265,13 +244,10 @@ class HittingTimeSampler:
             raise ValidationError("threshold must be positive")
         self.growth = growth
         self.threshold = threshold
-        spec = growth.scale_spec
-        min_rate = spec.beta if isinstance(spec, DeterministicScale) else 1.0 / spec.b
-        self._x_lo = min_rate * threshold
 
     def cdf_bound(self, t) -> np.ndarray:
         """The largest hitting probability by ``t >= 0`` of any process."""
-        return sp.gammaincc(self.growth.shape_rate * t, self._x_lo)
+        return self.cdf(t, self.growth.min_rate)
 
     def cdf(self, t, rates) -> np.ndarray:
         """The hitting probability ``F(t)`` by ``t >= 0`` at the given per-draw rates."""

@@ -20,7 +20,6 @@ from warnings import warn
 import numpy as np
 
 from .arrivals import simulate_carried_batch
-from .degradation import DeterministicScale, GammaModel, UniformInverseScale
 from .errors import NumericalError, ValidationError
 from .lifetime import SystemSpec
 
@@ -543,22 +542,6 @@ def grid_search(
     return GridSearchResult(t_opt=t_opt, m_opt=m_opt, cost=best_est.point, surface=surface)
 
 
-def _with_parameters(spec: SystemSpec, shape_rate: float, scale_value: float) -> SystemSpec:
-    """Rebuild the system with a new shape rate and scale-axis value.
-
-    For a deterministic model the scale axis is the rate itself; for random
-    effects it is the center of the inverse-rate window, keeping the
-    half-width.
-    """
-    old = spec.growth.scale_spec
-    if isinstance(old, DeterministicScale):
-        growth = GammaModel(shape_rate, DeterministicScale(scale_value))
-    else:
-        half = 0.5 * (old.b - old.a)
-        growth = GammaModel(shape_rate, UniformInverseScale(scale_value - half, scale_value + half))
-    return replace(spec, growth=growth)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     axis1: float
@@ -596,7 +579,7 @@ def sensitivity_sweep(
     if kind == "parameters":
         for a1 in axis1:
             for a2 in axis2:
-                cell_spec = _with_parameters(spec, float(a1), float(a2))
+                cell_spec = replace(spec, growth=spec.growth.with_axes(float(a1), float(a2)))
                 res = grid_search(cell_spec, costs, t_grid, m_grid, n_cycles, sim, master_seed, threads)
                 rows.append(SweepRow(float(a1), float(a2), res.cost, res.t_opt, res.m_opt, res.counts))
     elif kind == "costs":

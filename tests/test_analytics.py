@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,16 @@ from shotgamma.maintenance import (
     PolicyParams,
     SimControl,
     cycle_rng,
+    estimate_cost_rate,
     simulate_cycle,
 )
 from shotgamma.special import integrate
 
 PARAMS = ShotNoiseParams(1.0, 2.0, 0.5)
 SPEC = SystemSpec(PARAMS, GammaModel.deterministic(1.1, 1.4), 10.0)
+SPEC_RE = SystemSpec(
+    PARAMS, GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1), 10.0
+)
 POLICY = PolicyParams(19.0 / 3.0, 43.0 / 7.0)
 COSTS = CostRates(100.0, 200.0, 50.0, 60.0)
 
@@ -82,22 +88,31 @@ class TestFirstWindow:
     # No process can be at M before the first inspection, so the first
     # window ends corrective exactly when the failure level is reached by T,
     # and its downtime is the time spent failed before T. At M = L every
-    # window is split this way.
+    # window is split this way. Both scale models obey it.
     CELLS = [POLICY, PolicyParams(9.0, 1.0), PolicyParams(19.0 / 3.0, 10.0)]
 
+    @pytest.fixture(scope="class", params=[SPEC, SPEC_RE], ids=["deterministic", "random_effects"])
+    def spec(self, request):
+        return request.param
+
     @pytest.fixture(scope="class")
-    def failure_law(self):
-        return first_passage_law(SPEC, SPEC.failure_threshold, 40.0)
+    def failure_law(self, spec):
+        return first_passage_law(spec, spec.failure_threshold, 40.0)
+
+    @staticmethod
+    @functools.cache
+    def first_split(spec, policy):
+        return PolicyAnalytics(spec, policy, k_max=2).window_split(0)
 
     @pytest.mark.parametrize("policy", CELLS)
-    def test_corrective_probability_is_failure_by_T(self, policy, failure_law):
-        _, p_c, _ = PolicyAnalytics(SPEC, policy, k_max=2).window_split(0)
+    def test_corrective_probability_is_failure_by_T(self, spec, policy, failure_law):
+        _, p_c, _ = self.first_split(spec, policy)
         want = 1.0 - failure_law.survival(policy.inspection_period)
         assert p_c == pytest.approx(want, abs=1e-6)
 
     @pytest.mark.parametrize("policy", CELLS)
-    def test_downtime_is_integrated_failure_cdf(self, policy, failure_law):
-        _, _, e_d = PolicyAnalytics(SPEC, policy, k_max=2).window_split(0)
+    def test_downtime_is_integrated_failure_cdf(self, spec, policy, failure_law):
+        _, _, e_d = self.first_split(spec, policy)
         want = integrate(lambda s: 1.0 - failure_law.survival(s), 0.0, policy.inspection_period)
         assert e_d == pytest.approx(want, abs=1e-6)
 
@@ -113,18 +128,25 @@ class TestVoid:
         assert all(0.0 < v <= 1.0 for v in vals)
         assert np.all(np.diff(vals) < 0)
 
-    def test_random_effects_split_rejected(self):
-        spec_re = SystemSpec(
-            PARAMS, GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1), 10.0
+    @pytest.mark.parametrize(
+        "policy", [PolicyParams(19.0 / 3.0, 34.0 / 7.0), PolicyParams(11.0 / 3.0, 43.0 / 7.0)]
+    )
+    def test_random_effects_split_matches_simulation(self, policy):
+        # each arrival's rate is one more mark of the Cox process, so the
+        # rate-averaged void table is exact; the finely dated simulated
+        # crossings leave no downtime bias to speak of
+        q = analytic_cycle_quantities(SPEC_RE, policy)
+        n = 40_960
+        est = estimate_cost_rate(
+            SPEC_RE, policy, CostRates(0, 0, 0, 1), n, SimControl(crossing_refinement=14), 16, 0
         )
-        with pytest.raises(ValidationError):
-            analytic_cycle_quantities(spec_re, POLICY, k_max=2)
+        p_c = q.total_corrective
+        z_c = (est.corrective_fraction - p_c) / np.sqrt(p_c * (1 - p_c) / n)
+        z_d = (est.point - q.total_downtime / q.expected_cycle_length) / est.std_error
+        assert abs(z_c) <= 4 and abs(z_d) <= 4
 
     def test_random_effects_series_supported(self):
-        spec_re = SystemSpec(
-            PARAMS, GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 0.1, 1 / 1.4 + 0.1), 10.0
-        )
-        eng = PolicyAnalytics(spec_re, POLICY, k_max=3)
+        eng = PolicyAnalytics(SPEC_RE, POLICY, k_max=3)
         e_r, e_ni, _ = eng.cycle_length_series()
         assert e_r > POLICY.inspection_period
         assert e_ni == pytest.approx(e_r / POLICY.inspection_period)
@@ -153,8 +175,6 @@ class TestCostRate:
         # the analytic rate is exact up to quadrature; the tolerance covers
         # the Monte Carlo error of 6000 cycles and the simulator's path
         # discretization
-        from shotgamma.maintenance import estimate_cost_rate
-
         ana = cost_rate_analytic(SPEC, POLICY, COSTS, k_max=5)
         est = estimate_cost_rate(SPEC, POLICY, COSTS, 6000, SimControl(crossing_refinement=10), 77, 0)
         assert ana == pytest.approx(est.point, rel=0.025)

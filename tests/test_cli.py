@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,13 +74,39 @@ class TestConfig:
           "max_inspections: 200, crossing_refinement: {}"),
          ("simulation.n_cycles", "n_cycles: 120", "n_cycles: {}"),
          ("master_seed", "master_seed: 33", "master_seed: {}"),
-         ("n_trajectories", "n_trajectories: 4000", "n_trajectories: {}")],
+         ("n_trajectories", "n_trajectories: 4000", "n_trajectories: {}"),
+         ("sensitivity.n_cycles", "horizon: 8.0",
+          "horizon: 8.0\nsensitivity: {{kind: costs, axis1: [1], axis2: [1], n_cycles: {}}}"),
+         ("fit.grid_count", "horizon: 8.0", "horizon: 8.0\nfit: {{grid_count: {}}}")],
     )
     def test_non_integer_fields_rejected(self, tmp_path, field, line, template, bad):
         # a float, bool, string or null must not be coerced to an int
         path = tmp_path / "bad.yaml"
         path.write_text(SMALL_CONFIG.replace(line, template.format(bad)))
         with pytest.raises(ValidationError, match=field.replace(".", r"\.")):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("bad", ["true", "'x'", "null", "[1.0]"])
+    @pytest.mark.parametrize(
+        "field, section",
+        [("fit.center", "fit: {{center: {}}}"),
+         ("fit.grid_start", "fit: {{grid_start: {}}}"),
+         ("fit.grid_stop", "fit: {{grid_stop: {}}}"),
+         ("sensitivity.axis1[1]", "sensitivity: {{axis1: [1.0, {}], axis2: [2]}}"),
+         ("sensitivity.axis2[0]", "sensitivity: {{axis1: [1.0], axis2: [{}]}}"),
+         ("validation.tolerance_scale", "validation: {{tolerance_scale: {}}}")],
+    )
+    def test_non_numeric_fields_rejected(self, tmp_path, field, section, bad):
+        # the CLI reads these as numbers; a bool, string, null or list must name its field
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_CONFIG + section.format(bad) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            load_config(str(path))
+
+    def test_sensitivity_axis_must_be_a_list(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_CONFIG + "sensitivity: {axis1: 1.0, axis2: [1.0]}\n")
+        with pytest.raises(ValidationError, match=r"sensitivity\.axis1 must be a list"):
             load_config(str(path))
 
     def test_missing_file(self, tmp_path, capsys):

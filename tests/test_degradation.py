@@ -47,6 +47,21 @@ class TestScale:
         assert abs(inv.mean() - 1.0) <= 3 * se
         assert np.all((rates >= 1 / 1.3) & (rates <= 1 / 0.7))
 
+    def test_rate_nodes_and_min_rate(self):
+        rates, weights = DET_MODEL.rate_nodes()
+        assert rates.tolist() == [1.4] and weights.tolist() == [1.0]
+        assert DET_MODEL.min_rate == 1.4
+        rates, weights = RE_MODEL.rate_nodes()
+        a, b = RE_MODEL.scale_spec.a, RE_MODEL.scale_spec.b
+        assert rates.size == 64 and weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.all((rates > 1 / b) & (rates < 1 / a))
+        assert RE_MODEL.min_rate == 1.0 / b
+
+    def test_with_axes(self):
+        assert DET_MODEL.with_axes(1.3, 2.0) == GammaModel.deterministic(1.3, 2.0)
+        moved = RE_MODEL.with_axes(1.3, 1.0).scale_spec
+        assert moved.a == pytest.approx(0.9) and moved.b == pytest.approx(1.1)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             UniformInverseScale(1.3, 0.7)
@@ -65,6 +80,13 @@ class TestHittingLaw:
         assert hitting_cdf(1.0, 1.0, 10.0, 10.0) == pytest.approx(
             sp.gammaincc(10.0, 10.0), rel=1e-14
         )
+
+    def test_deterministic_cdf_is_one_rate_formula(self):
+        # one node of weight 1 leaves the one-rate gamma ratio bit for bit
+        ts = np.linspace(0.0, 60.0, 6001)
+        got = HittingLaw(DET_MODEL, 10.0).cdf(ts)
+        assert np.array_equal(got, hitting_cdf(1.1, 1.4, 10.0, ts))
+        assert np.array_equal(got[1:], sp.gammaincc(1.1 * ts[1:], 1.4 * 10.0)) and got[0] == 0.0
 
     def test_monotone(self):
         ts = np.arange(1.0, 51.0)
@@ -194,6 +216,21 @@ class TestRandomEffects:
 
     def test_hitting_cdf_zero_at_origin(self):
         assert random_effect_hitting_cdf(RE_MODEL, 10.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "model", [RE_MODEL, GammaModel.uniform_inverse_scale(1.1, 0.6, 1.9)], ids=["preset", "wide"]
+    )
+    def test_hitting_cdf_matches_64_node_reference(self, model):
+        # the mixture rule before the rate nodes moved onto GammaModel: 64
+        # Gauss-Legendre nodes in the inverse rate, threshold divided by each
+        ts = np.linspace(0.0, 60.0, 601)
+        a, b = model.scale_spec.a, model.scale_spec.b
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        theta = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        want = sp.gammaincc(1.1 * ts[:, None], 10.0 / theta) @ (0.5 * weights)
+        want[0] = 0.0
+        assert np.max(np.abs(random_effect_hitting_cdf(model, 10.0, ts) - want)) <= 1e-12
+        assert np.max(np.abs(HittingLaw(model, 10.0).cdf(ts) - want)) <= 1e-12
 
     def test_hitting_cdf_narrow_limit(self):
         narrow = GammaModel.uniform_inverse_scale(1.1, 1 / 1.4 - 1e-8, 1 / 1.4 + 1e-8)
@@ -540,3 +577,8 @@ class TestDifferencePdfSaturation:
     def test_interior_loss_still_raises(self):
         with pytest.raises(NumericalError, match="significant digits"):
             difference_pdf(lambda x: np.full(np.shape(x), 0.5), np.array([1.0, 2.0]))
+
+    def test_loss_names_first_time_step_and_cdf(self):
+        flat = lambda x: np.where(np.asarray(x) > 1.5, 0.25, 0.5 * np.asarray(x))
+        with pytest.raises(NumericalError, match=r"at t=2 \(step 0\.0002, cdf 0\.25\)"):
+            difference_pdf(flat, np.array([3.0, 1.0, 2.0]))

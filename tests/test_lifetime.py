@@ -94,6 +94,11 @@ class TestFirstPassageSurvival:
     def test_one_at_zero(self):
         assert first_passage_law(SPEC, 10.0, 25.0).survival(0.0) == 1.0
 
+    def test_time_outside_range_names_time_range_and_level(self):
+        law = first_passage_law(SPEC, 7.5, 5.0)
+        with pytest.raises(ValidationError, match=r"time 6\.5 outside .*\[0, 5\.0\] .* level 7\.5"):
+            law.survival(np.array([1.0, 6.5, 8.0]))
+
     def test_poisson_closed_form(self):
         spec = SystemSpec(ShotNoiseParams(1.0, 0.0, 0.5), GROWTH, 10.0)
         for t in [5.0, 12.0, 18.0]:
