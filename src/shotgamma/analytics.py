@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import degradation
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, checked_number
 from .lifetime import (
     HittingLaw,
     SystemSpec,
@@ -90,9 +90,9 @@ class PolicyAnalytics:
     """
 
     def __init__(self, spec: SystemSpec, policy: PolicyParams, k_max: int = 8, tol: float = 1e-6):
-        if k_max < 1:
-            raise ValidationError("k_max must be at least 1")
-        if not 0.0 < tol < 1.0:
+        k_max = checked_number(k_max, "k_max", at_least=1, integer=True)
+        tol = checked_number(tol, "tol", above=0)
+        if tol >= 1.0:
             raise ValidationError(f"tol must lie in (0, 1), got {tol}")
         policy.validate_against(spec)
         self.spec = spec

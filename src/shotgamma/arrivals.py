@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, store_checked
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,9 @@ class ShotNoiseParams:
     delta: float
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise ValidationError("lambda0 must be non-negative")
-        if self.mu < 0:
-            raise ValidationError("mu must be non-negative")
-        if self.delta <= 0:
-            raise ValidationError("delta must be positive")
+        store_checked(self, "lambda0", at_least=0)
+        store_checked(self, "mu", at_least=0)
+        store_checked(self, "delta", above=0)
 
     @property
     def stationary_intensity(self) -> float:

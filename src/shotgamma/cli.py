@@ -27,7 +27,7 @@ from .degradation import (
     random_effect_moments,
     read_observations_csv,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, checked_number
 from .lifetime import first_passage_law, hazard_limit, simulate_first_passage_batch
 from .maintenance import SimCounts, grid_search, sensitivity_sweep, write_surface_csv, write_sweep_csv
 
@@ -73,7 +73,7 @@ def cmd_simulate_arrivals(config: ExperimentConfig, args, outdir: Path) -> int:
             fh.write(f"{t:.10g},{emp:.10g},{ana:.10g},{se:.10g},{n}\n")
     print(f"simulated {n} trajectories on [0, {horizon}]; worst |z| vs closed form: {worst:.2f}")
     _write_manifest(outdir, "simulate-arrivals", config, args, {"worst_abs_z": worst})
-    tol = 4.0 * float(config.validation.get("tolerance_scale", 1.0))
+    tol = 4.0 * config.validation.get("tolerance_scale", 1.0)
     if worst > tol:
         print(f"arrival counts off the closed form: worst |z| {worst:.2f} > {tol:.2g}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -116,10 +116,10 @@ def cmd_fit(config: ExperimentConfig, args, outdir: Path) -> int:
     if not data_path:
         raise ValidationError("fit needs a data CSV: pass --data or set fit.data")
     data = read_observations_csv(data_path)
-    center = float(fit_cfg.get("center", 1.0))
+    center = fit_cfg.get("center", 1.0)
     grid = np.linspace(
-        float(fit_cfg.get("grid_start", 0.02)),
-        float(fit_cfg.get("grid_stop", min(0.9 * center, 0.6))),
+        fit_cfg.get("grid_start", 0.02),
+        fit_cfg.get("grid_stop", min(0.9 * center, 0.6)),
         fit_cfg.get("grid_count", 30),
     )
     alpha = config.system.growth.shape_rate
@@ -176,8 +176,8 @@ def cmd_sensitivity(config: ExperimentConfig, args, outdir: Path) -> int:
     if not sens:
         raise ValidationError("sensitivity needs a sensitivity: section (kind, axis1, axis2)")
     kind = sens.get("kind", "parameters")
-    axis1 = [float(v) for v in sens.get("axis1", [])]
-    axis2 = [float(v) for v in sens.get("axis2", [])]
+    axis1 = sens.get("axis1", [])
+    axis2 = sens.get("axis2", [])
     if not axis1 or not axis2:
         raise ValidationError("sensitivity.axis1 and axis2 must be non-empty")
     costs = config.costs_or_error()
@@ -269,7 +269,7 @@ def _validation_checks(config: ExperimentConfig, scale: float):
 
 
 def cmd_validate(config: ExperimentConfig, args, outdir: Path) -> int:
-    scale = float(config.validation.get("tolerance_scale", 1.0))
+    scale = config.validation.get("tolerance_scale", 1.0)
     failures = []
     lines = []
     for name, ok, detail in _validation_checks(config, scale):
@@ -325,7 +325,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config.master_seed = int(args.seed)
+            config.master_seed = checked_number(args.seed, "--seed", at_least=0, integer=True)
+        checked_number(args.threads, "--threads", at_least=1, integer=True)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, args, outdir)

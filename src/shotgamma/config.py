@@ -8,6 +8,7 @@ loudly instead of silently running defaults.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,7 @@ import yaml
 
 from .arrivals import ShotNoiseParams
 from .degradation import DeterministicScale, GammaModel, UniformInverseScale
-from .errors import ValidationError
+from .errors import ValidationError, checked_number
 from .lifetime import SystemSpec
 from .maintenance import CostRates, PolicyParams, SimControl
 
@@ -53,38 +54,39 @@ master_seed: 20241
 }
 
 
-def _require_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _section(node, where: str, required=(), optional=()) -> dict:
+    """``node`` as a mapping with every ``required`` key and no key outside
+    ``required`` and ``optional``; an absent (null) section reads as empty."""
+    node = {} if node is None else node
+    if not isinstance(node, dict):
+        raise ValidationError(f"{where} must be a mapping, got {node!r}")
+    unknown = set(node) - set(required) - set(optional)
     if unknown:
         raise ValidationError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    missing = [key for key in required if key not in node]
+    if missing:
+        raise ValidationError(f"{where} is missing key(s) {missing}")
+    return node
 
 
-def _integer(section: dict, key: str, default: int, where: str, minimum: int) -> int:
-    """``section[key]``, or ``default`` when absent, as an integer of at least ``minimum``.
-
-    Booleans, floats, strings and null are rejected, never coerced.
-    """
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{where} must be at least {minimum}, got {value}")
-    return value
-
-
-def _number(value, where: str) -> None:
-    """Reject ``value`` unless it is an integer or a float: never a bool, string or null."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
+@contextmanager
+def _fields_of(where: str):
+    """Re-raise a parameter type's ``ValidationError`` once, with its section's prefix."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.{exc}") from None
 
 
 def _grid_from(node, where: str) -> np.ndarray:
-    if isinstance(node, (list, tuple)):
-        return np.asarray(node, float)
-    if isinstance(node, dict):
-        _require_keys(node, {"start", "stop", "count"}, where)
-        return np.linspace(float(node["start"]), float(node["stop"]), int(node["count"]))
-    raise ValidationError(f"{where} must be a list or a start/stop/count mapping")
+    if isinstance(node, list):
+        return np.array([checked_number(v, f"{where}[{i}]", above=0) for i, v in enumerate(node)])
+    grid = _section(node, where, required=("start", "stop", "count"))
+    return np.linspace(
+        checked_number(grid["start"], f"{where}.start", above=0),
+        checked_number(grid["stop"], f"{where}.stop", above=0),
+        checked_number(grid["count"], f"{where}.count", at_least=1, integer=True),
+    )
 
 
 @dataclass
@@ -181,49 +183,36 @@ def load_config(source: str) -> ExperimentConfig:
                 f"config '{source}' is neither a preset ({', '.join(sorted(PRESETS))}) "
                 f"nor a readable file: {exc}"
             ) from None
-    raw = yaml.safe_load(text)
-    if not isinstance(raw, dict):
-        raise ValidationError("config must be a mapping")
-    return parse_config(raw)
+    return parse_config(yaml.safe_load(text))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    _require_keys(
-        raw,
-        {"system", "policy", "costs", "simulation", "master_seed", "horizon",
-         "n_trajectories", "fit", "sensitivity", "validation"},
-        "config",
-    )
-    sys_raw = raw.get("system")
-    if not isinstance(sys_raw, dict):
-        raise ValidationError("config needs a system section")
-    _require_keys(
-        sys_raw,
-        {"lambda0", "mu", "delta", "shape_rate", "scale", "failure_threshold"},
-        "system",
-    )
-    try:
-        arrivals = ShotNoiseParams(
-            float(sys_raw["lambda0"]), float(sys_raw["mu"]), float(sys_raw["delta"])
-        )
-    except KeyError as exc:
-        raise ValidationError(f"system section is missing {exc}") from None
-    scale_raw = sys_raw.get("scale")
-    if not isinstance(scale_raw, dict) or len(scale_raw) != 1:
+    raw = _section(raw, "config", optional=(
+        "system", "policy", "costs", "simulation", "master_seed", "horizon",
+        "n_trajectories", "fit", "sensitivity", "validation",
+    ))
+    sys_raw = _section(raw.get("system"), "system", required=(
+        "lambda0", "mu", "delta", "shape_rate", "scale", "failure_threshold",
+    ))
+    scale_raw = _section(sys_raw["scale"], "system.scale", optional=("beta", "uniform_inverse"))
+    if len(scale_raw) != 1:
         raise ValidationError("system.scale must be {beta: ...} or {uniform_inverse: {a, b}}")
     if "beta" in scale_raw:
-        scale = DeterministicScale(float(scale_raw["beta"]))
-    elif "uniform_inverse" in scale_raw:
-        ui = scale_raw["uniform_inverse"]
-        _require_keys(ui, {"a", "b"}, "system.scale.uniform_inverse")
-        scale = UniformInverseScale(float(ui["a"]), float(ui["b"]))
+        with _fields_of("system.scale"):
+            scale = DeterministicScale(scale_raw["beta"])
     else:
-        raise ValidationError("system.scale must be {beta: ...} or {uniform_inverse: {a, b}}")
-    growth = GammaModel(float(sys_raw["shape_rate"]), scale)
-    system = SystemSpec(arrivals, growth, float(sys_raw["failure_threshold"]))
+        where = "system.scale.uniform_inverse"
+        ui = _section(scale_raw["uniform_inverse"], where, required=("a", "b"))
+        with _fields_of(where):
+            scale = UniformInverseScale(**ui)
+    with _fields_of("system"):
+        system = SystemSpec(
+            ShotNoiseParams(sys_raw["lambda0"], sys_raw["mu"], sys_raw["delta"]),
+            GammaModel(sys_raw["shape_rate"], scale),
+            sys_raw["failure_threshold"],
+        )
 
-    pol_raw = raw.get("policy", {}) or {}
-    _require_keys(pol_raw, {"T", "M", "T_grid", "M_grid"}, "policy")
+    pol_raw = _section(raw.get("policy"), "policy", optional=("T", "M", "T_grid", "M_grid"))
     t_grid = m_grid = None
     if "T_grid" in pol_raw or "M_grid" in pol_raw:
         if not ("T_grid" in pol_raw and "M_grid" in pol_raw):
@@ -236,60 +225,52 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "T" in pol_raw or "M" in pol_raw:
         if not ("T" in pol_raw and "M" in pol_raw):
             raise ValidationError("a fixed policy must give both T and M")
-        fixed = PolicyParams(float(pol_raw["T"]), float(pol_raw["M"]))
+        fixed = PolicyParams(
+            checked_number(pol_raw["T"], "policy.T", above=0),
+            checked_number(pol_raw["M"], "policy.M", above=0),
+        )
         fixed.validate_against(system)
 
-    cost_raw = raw.get("costs")
     costs = None
-    if cost_raw is not None:
-        if not isinstance(cost_raw, dict):
-            raise ValidationError("costs must be a mapping")
-        _require_keys(cost_raw, {"preventive", "corrective", "inspection", "downtime_rate"}, "costs")
-        try:
-            costs = CostRates(
-                float(cost_raw["preventive"]),
-                float(cost_raw["corrective"]),
-                float(cost_raw["inspection"]),
-                float(cost_raw["downtime_rate"]),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"costs section is missing {exc}") from None
+    if raw.get("costs") is not None:
+        cost_raw = _section(raw["costs"], "costs", required=(
+            "preventive", "corrective", "inspection", "downtime_rate",
+        ))
+        with _fields_of("costs"):
+            costs = CostRates(**cost_raw)
 
-    sim_raw = raw.get("simulation", {}) or {}
-    _require_keys(
-        sim_raw, {"n_cycles", "substeps", "max_inspections", "crossing_refinement"}, "simulation"
+    sim_raw = dict(_section(raw.get("simulation"), "simulation", optional=(
+        "n_cycles", "substeps", "max_inspections", "crossing_refinement",
+    )))
+    n_cycles = checked_number(
+        sim_raw.pop("n_cycles", 6000), "simulation.n_cycles", at_least=1, integer=True
     )
-    sim = SimControl(
-        substeps=_integer(sim_raw, "substeps", 16, "simulation.substeps", 1),
-        max_inspections=_integer(sim_raw, "max_inspections", 200, "simulation.max_inspections", 1),
-        crossing_refinement=_integer(
-            sim_raw, "crossing_refinement", 0, "simulation.crossing_refinement", 0
-        ),
-    )
-    n_cycles = _integer(sim_raw, "n_cycles", 6000, "simulation.n_cycles", 1)
+    with _fields_of("simulation"):
+        sim = SimControl(**sim_raw)
 
     # The CLI has its own defaults for these sections; only given keys are checked.
-    fit_raw = raw.get("fit", {}) or {}
-    _require_keys(fit_raw, {"center", "grid_start", "grid_stop", "grid_count", "data"}, "fit")
+    fit_raw = _section(raw.get("fit"), "fit", optional=(
+        "center", "grid_start", "grid_stop", "grid_count", "data",
+    ))
     for key in ("center", "grid_start", "grid_stop"):
         if key in fit_raw:
-            _number(fit_raw[key], f"fit.{key}")
+            checked_number(fit_raw[key], f"fit.{key}")
     if "grid_count" in fit_raw:
-        _integer(fit_raw, "grid_count", None, "fit.grid_count", 1)
-    sens_raw = raw.get("sensitivity", {}) or {}
-    _require_keys(sens_raw, {"kind", "axis1", "axis2", "n_cycles"}, "sensitivity")
+        checked_number(fit_raw["grid_count"], "fit.grid_count", at_least=1, integer=True)
+    sens_raw = _section(raw.get("sensitivity"), "sensitivity", optional=(
+        "kind", "axis1", "axis2", "n_cycles",
+    ))
     for key in ("axis1", "axis2"):
         axis = sens_raw.get(key, [])
         if not isinstance(axis, list):
             raise ValidationError(f"sensitivity.{key} must be a list of numbers, got {axis!r}")
         for i, value in enumerate(axis):
-            _number(value, f"sensitivity.{key}[{i}]")
+            checked_number(value, f"sensitivity.{key}[{i}]")
     if "n_cycles" in sens_raw:
-        _integer(sens_raw, "n_cycles", None, "sensitivity.n_cycles", 1)
-    val_raw = raw.get("validation", {}) or {}
-    _require_keys(val_raw, {"tolerance_scale"}, "validation")
+        checked_number(sens_raw["n_cycles"], "sensitivity.n_cycles", at_least=1, integer=True)
+    val_raw = _section(raw.get("validation"), "validation", optional=("tolerance_scale",))
     if "tolerance_scale" in val_raw:
-        _number(val_raw["tolerance_scale"], "validation.tolerance_scale")
+        checked_number(val_raw["tolerance_scale"], "validation.tolerance_scale")
 
     return ExperimentConfig(
         system=system,
@@ -299,9 +280,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         costs=costs,
         n_cycles=n_cycles,
         sim=sim,
-        master_seed=_integer(raw, "master_seed", 0, "master_seed", 0),
-        horizon=float(raw.get("horizon", 10.0)),
-        n_trajectories=_integer(raw, "n_trajectories", 10000, "n_trajectories", 1),
+        master_seed=checked_number(raw.get("master_seed", 0), "master_seed", at_least=0, integer=True),
+        horizon=checked_number(raw.get("horizon", 10.0), "horizon", above=0),
+        n_trajectories=checked_number(
+            raw.get("n_trajectories", 10000), "n_trajectories", at_least=1, integer=True
+        ),
         fit=dict(fit_raw),
         sensitivity=dict(sens_raw),
         validation=dict(val_raw),

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as sp
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, store_checked
 from .special import leggauss, log_gamma_diff
 
 
@@ -32,8 +32,7 @@ class DeterministicScale:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValidationError("beta must be positive")
+        store_checked(self, "beta", above=0)
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,8 @@ class UniformInverseScale:
     b: float
 
     def __post_init__(self):
-        if not (0 < self.a < self.b < np.inf):
-            raise ValidationError("uniform inverse scale requires 0 < a < b < inf")
+        store_checked(self, "a", above=0)
+        store_checked(self, "b", above=self.a)
 
 
 ScaleSpec = DeterministicScale | UniformInverseScale
@@ -60,8 +59,7 @@ class GammaModel:
     scale_spec: ScaleSpec
 
     def __post_init__(self):
-        if self.shape_rate <= 0:
-            raise ValidationError("shape_rate must be positive")
+        store_checked(self, "shape_rate", above=0)
         if not isinstance(self.scale_spec, (DeterministicScale, UniformInverseScale)):
             raise ValidationError("scale_spec must be DeterministicScale or UniformInverseScale")
 

@@ -18,7 +18,7 @@ from scipy import special as sp
 from .arrivals import ShotNoiseParams, expected_intensity
 from .arrivals import simulate_arrival_batch  # noqa: F401 -- shotbench/tracing.py rebinds it
 from .degradation import GammaModel, HittingLaw
-from .errors import ValidationError
+from .errors import ValidationError, checked_number, store_checked
 from .special import leggauss
 
 
@@ -31,8 +31,7 @@ class SystemSpec:
     failure_threshold: float
 
     def __post_init__(self):
-        if self.failure_threshold <= 0:
-            raise ValidationError("failure threshold must be positive")
+        store_checked(self, "failure_threshold", above=0)
 
 
 @dataclass(frozen=True)
@@ -312,10 +311,8 @@ def simulate_first_passage_batch(
     the horizon only if it is at most ``F(h-t)`` at its own rate. Exact:
     shocks and arrivals that cannot fail by the horizon are never drawn.
     """
-    if not 0 < horizon < np.inf:
-        raise ValidationError("horizon must be positive and finite")
-    if n < 0:
-        raise ValidationError("number of systems must be non-negative")
+    horizon = checked_number(horizon, "horizon", above=0)
+    n = checked_number(n, "n", at_least=0, integer=True)
     sampler = HittingTimeSampler(spec.growth, threshold)
     delta = spec.arrivals.delta
 

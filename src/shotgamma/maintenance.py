@@ -20,7 +20,7 @@ from warnings import warn
 import numpy as np
 
 from .arrivals import simulate_carried_batch
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, checked_number, store_checked
 from .lifetime import SystemSpec
 
 PREVENTIVE = "preventive"
@@ -50,10 +50,8 @@ class PolicyParams:
     preventive_threshold: float
 
     def __post_init__(self):
-        if self.inspection_period <= 0:
-            raise ValidationError("inspection period must be positive")
-        if self.preventive_threshold <= 0:
-            raise ValidationError("preventive threshold must be positive")
+        store_checked(self, "inspection_period", above=0)
+        store_checked(self, "preventive_threshold", above=0)
 
     def validate_against(self, spec: SystemSpec) -> None:
         if self.preventive_threshold > spec.failure_threshold:
@@ -71,8 +69,7 @@ class CostRates:
 
     def __post_init__(self):
         for name in ("preventive", "corrective", "inspection", "downtime_rate"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} cost must be non-negative")
+            store_checked(self, name, at_least=0)
         if self.corrective < self.preventive:
             warn("corrective cost below preventive cost; check the configuration")
 
@@ -98,8 +95,7 @@ class SimControl:
     downtime low by at most ``T / substeps``. ``crossing_refinement`` adds
     that many bridge halvings inside the crossing step, shrinking the bias
     by ``2**levels``. A cycle still running after ``max_inspections``
-    windows is censored. Every field is an integer (not a bool); numpy
-    integers are stored as Python ints.
+    windows is censored.
     """
 
     substeps: int = 16
@@ -107,13 +103,9 @@ class SimControl:
     crossing_refinement: int = 0
 
     def __post_init__(self):
-        for name in ("substeps", "max_inspections", "crossing_refinement"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"simulation control {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.substeps < 1 or self.max_inspections < 1 or self.crossing_refinement < 0:
-            raise ValidationError("invalid simulation controls")
+        store_checked(self, "substeps", at_least=1, integer=True)
+        store_checked(self, "max_inspections", at_least=1, integer=True)
+        store_checked(self, "crossing_refinement", at_least=0, integer=True)
 
 
 @dataclass(frozen=True)
@@ -375,8 +367,7 @@ def _simulate_cell(
     cell_index: int,
 ) -> CycleOutcomes:
     """A cell's cycles in blocks of :data:`BLOCK_SIZE`, each on its own stream."""
-    if n_cycles < 1:
-        raise ValidationError("n_cycles must be at least 1")
+    n_cycles = checked_number(n_cycles, "n_cycles", at_least=1, integer=True)
     blocks = [
         _simulate_block(spec, policy, sim, min(BLOCK_SIZE, n_cycles - start),
                         block_rng(master_seed, cell_index, b))
@@ -519,7 +510,7 @@ def grid_search(
     cells = []
     for i, T in enumerate(t_grid):
         for j, M in enumerate(m_grid):
-            policy = PolicyParams(float(T), float(M))
+            policy = PolicyParams(T, M)
             policy.validate_against(spec)
             idx = i * m_grid.size + j
             cells.append((idx, spec, policy, costs, n_cycles, sim, master_seed))
@@ -579,7 +570,7 @@ def sensitivity_sweep(
     if kind == "parameters":
         for a1 in axis1:
             for a2 in axis2:
-                cell_spec = replace(spec, growth=spec.growth.with_axes(float(a1), float(a2)))
+                cell_spec = replace(spec, growth=spec.growth.with_axes(a1, a2))
                 res = grid_search(cell_spec, costs, t_grid, m_grid, n_cycles, sim, master_seed, threads)
                 rows.append(SweepRow(float(a1), float(a2), res.cost, res.t_opt, res.m_opt, res.counts))
     elif kind == "costs":
@@ -590,13 +581,7 @@ def sensitivity_sweep(
         simulated = outcomes.counts
         for cc in axis1:
             for cp in axis2:
-                cell_costs = CostRates(
-                    preventive=float(cp),
-                    corrective=float(cc),
-                    inspection=costs.inspection,
-                    downtime_rate=costs.downtime_rate,
-                )
-                est = _renewal_reward(outcomes, cell_costs)
+                est = _renewal_reward(outcomes, replace(costs, preventive=cp, corrective=cc))
                 rows.append(
                     SweepRow(float(cc), float(cp), est.point, fixed_policy.inspection_period,
                              fixed_policy.preventive_threshold, simulated)

@@ -14,7 +14,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import special as sp
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, store_checked
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -37,10 +37,9 @@ class QuadratureSpec:
     max_depth: int = 50
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValidationError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValidationError("max_depth must be at least 1")
+        store_checked(self, "abs_tol", above=0)
+        store_checked(self, "rel_tol", above=0)
+        store_checked(self, "max_depth", at_least=1, integer=True)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

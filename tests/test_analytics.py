@@ -156,11 +156,20 @@ class TestCostRate:
     def test_zero_costs(self):
         assert cost_rate_analytic(SPEC, POLICY, CostRates(0, 0, 0, 0), k_max=4) == 0.0
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, np.nan, True])
     def test_tol_outside_unit_interval_rejected(self, tol):
         # tol >= 1 leaves no window to price; no k_max meets a deficit bound of tol <= 0
         with pytest.raises(ValidationError, match="tol"):
             cost_rate_analytic(SPEC, PolicyParams(6.0, 5.0), COSTS, tol=tol)
+
+    @pytest.mark.parametrize("k_max", [0, 2.5, True, "4"])
+    def test_k_max_must_be_a_positive_integer(self, k_max):
+        policy = PolicyParams(6.0, 5.0)
+        for evaluate in (lambda **kw: PolicyAnalytics(SPEC, policy, **kw),
+                         lambda **kw: analytic_cycle_quantities(SPEC, policy, **kw),
+                         lambda **kw: cost_rate_analytic(SPEC, policy, COSTS, **kw)):
+            with pytest.raises(ValidationError, match="k_max"):
+                evaluate(k_max=k_max)
 
     def test_pure_corrective_policy(self):
         # preventive threshold at the failure level: every replacement is

@@ -65,7 +65,7 @@ class TestConfig:
         assert rc == 1
         assert "delta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["16.7", "true", "'x'", "null"])
+    @pytest.mark.parametrize("bad", ["16.7", "true", "'x'", "null", ".nan", ".inf", "-.inf"])
     @pytest.mark.parametrize(
         "field, line, template",
         [("simulation.substeps", "substeps: 16", "substeps: {}"),
@@ -77,7 +77,9 @@ class TestConfig:
          ("n_trajectories", "n_trajectories: 4000", "n_trajectories: {}"),
          ("sensitivity.n_cycles", "horizon: 8.0",
           "horizon: 8.0\nsensitivity: {{kind: costs, axis1: [1], axis2: [1], n_cycles: {}}}"),
-         ("fit.grid_count", "horizon: 8.0", "horizon: 8.0\nfit: {{grid_count: {}}}")],
+         ("fit.grid_count", "horizon: 8.0", "horizon: 8.0\nfit: {{grid_count: {}}}"),
+         ("policy.M_grid.count", "M_grid: [4.0, 6.1428571]",
+          "M_grid: {{start: 4.0, stop: 6.0, count: {}}}")],
     )
     def test_non_integer_fields_rejected(self, tmp_path, field, line, template, bad):
         # a float, bool, string or null must not be coerced to an int
@@ -86,20 +88,45 @@ class TestConfig:
         with pytest.raises(ValidationError, match=field.replace(".", r"\.")):
             load_config(str(path))
 
-    @pytest.mark.parametrize("bad", ["true", "'x'", "null", "[1.0]"])
+    @pytest.mark.parametrize("bad", ["true", "'x'", "null", "[1.0]", ".nan", ".inf", "-.inf"])
     @pytest.mark.parametrize(
-        "field, section",
-        [("fit.center", "fit: {{center: {}}}"),
-         ("fit.grid_start", "fit: {{grid_start: {}}}"),
-         ("fit.grid_stop", "fit: {{grid_stop: {}}}"),
-         ("sensitivity.axis1[1]", "sensitivity: {{axis1: [1.0, {}], axis2: [2]}}"),
-         ("sensitivity.axis2[0]", "sensitivity: {{axis1: [1.0], axis2: [{}]}}"),
-         ("validation.tolerance_scale", "validation: {{tolerance_scale: {}}}")],
+        "field, line, template",
+        [("fit.center", "horizon: 8.0", "horizon: 8.0\nfit: {{center: {}}}"),
+         ("fit.grid_start", "horizon: 8.0", "horizon: 8.0\nfit: {{grid_start: {}}}"),
+         ("fit.grid_stop", "horizon: 8.0", "horizon: 8.0\nfit: {{grid_stop: {}}}"),
+         ("sensitivity.axis1[1]", "horizon: 8.0",
+          "horizon: 8.0\nsensitivity: {{axis1: [1.0, {}], axis2: [2]}}"),
+         ("sensitivity.axis2[0]", "horizon: 8.0",
+          "horizon: 8.0\nsensitivity: {{axis1: [1.0], axis2: [{}]}}"),
+         ("validation.tolerance_scale", "horizon: 8.0",
+          "horizon: 8.0\nvalidation: {{tolerance_scale: {}}}"),
+         ("system.lambda0", "lambda0: 1.0", "lambda0: {}"),
+         ("system.mu", "mu: 2.0", "mu: {}"),
+         ("system.delta", "delta: 0.5", "delta: {}"),
+         ("system.shape_rate", "shape_rate: 1.1", "shape_rate: {}"),
+         ("system.failure_threshold", "failure_threshold: 10.0", "failure_threshold: {}"),
+         ("system.scale.beta", "scale: {beta: 1.4}", "scale: {{beta: {}}}"),
+         ("system.scale.uniform_inverse.a", "scale: {beta: 1.4}",
+          "scale: {{uniform_inverse: {{a: {}, b: 0.8}}}}"),
+         ("system.scale.uniform_inverse.b", "scale: {beta: 1.4}",
+          "scale: {{uniform_inverse: {{a: 0.6, b: {}}}}}"),
+         ("costs.preventive", "preventive: 100.0", "preventive: {}"),
+         ("costs.corrective", "corrective: 200.0", "corrective: {}"),
+         ("costs.inspection", "inspection: 50.0", "inspection: {}"),
+         ("costs.downtime_rate", "downtime_rate: 60.0", "downtime_rate: {}"),
+         ("policy.T", "T: 6.3333333", "T: {}"),
+         ("policy.M", "M: 6.1428571", "M: {}"),
+         ("policy.T_grid[1]", "T_grid: [4.0, 6.3333333]", "T_grid: [4.0, {}]"),
+         ("policy.M_grid.start", "M_grid: [4.0, 6.1428571]",
+          "M_grid: {{start: {}, stop: 6.0, count: 2}}"),
+         ("policy.M_grid.stop", "M_grid: [4.0, 6.1428571]",
+          "M_grid: {{start: 4.0, stop: {}, count: 2}}"),
+         ("horizon", "horizon: 8.0", "horizon: {}")],
     )
-    def test_non_numeric_fields_rejected(self, tmp_path, field, section, bad):
-        # the CLI reads these as numbers; a bool, string, null or list must name its field
+    def test_non_numeric_fields_rejected(self, tmp_path, field, line, template, bad):
+        # a bool, string, null, list, NaN or infinity must name its field, never be coerced
         path = tmp_path / "bad.yaml"
-        path.write_text(SMALL_CONFIG + section.format(bad) + "\n")
+        path.write_text(SMALL_CONFIG.replace(line, template.format(bad)))
         with pytest.raises(ValidationError, match=re.escape(field)):
             load_config(str(path))
 
@@ -109,9 +136,51 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"sensitivity\.axis1 must be a list"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "field, line, template",
+        [("system.lambda0", "lambda0: 1.0", "lambda0: .nan"),
+         ("system.lambda0", "lambda0: 1.0", "lambda0: \"x\""),
+         ("horizon", "horizon: 8.0", "horizon: .inf"),
+         ("system.scale.beta", "scale: {beta: 1.4}", "scale: {beta: true}"),
+         ("policy.M_grid[1]", "M_grid: [4.0, 6.1428571]", "M_grid: [1.0, \"5\"]"),
+         ("policy.M_grid.count", "M_grid: [4.0, 6.1428571]", "M_grid: {start: 4.0, stop: 6.0, count: 2.7}"),
+         ("policy.M_grid.count", "M_grid: [4.0, 6.1428571]", "M_grid: {start: 4.0, stop: 6.0, count: -1}"),
+         ("policy.T_grid[0]", "T_grid: [4.0, 6.3333333]", "T_grid: [0.0, 6.3333333]"),
+         ("shape_rate", "  shape_rate: 1.1\n", ""),
+         ("policy", SMALL_CONFIG[SMALL_CONFIG.index("policy:"):SMALL_CONFIG.index("costs:")],
+          "policy: 5\n"),
+         ("system.scale.uniform_inverse", "scale: {beta: 1.4}", "scale: {uniform_inverse: 3}")],
+        ids=["lambda0_nan", "lambda0_str", "horizon_inf", "beta_bool", "grid_entry_str",
+             "count_float", "count_negative", "grid_entry_zero", "missing_shape_rate", "policy_not_mapping",
+             "uniform_inverse_not_mapping"],
+    )
+    def test_malformed_config_exits_cleanly(self, tmp_path, capsys, field, line, template):
+        path = tmp_path / "bad.yaml"
+        text = SMALL_CONFIG.replace(line, template)
+        assert text != SMALL_CONFIG
+        path.write_text(text)
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and field in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["optimize", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
         assert rc == 1
+
+
+class TestFlags:
+    def test_negative_seed_rejected(self, small_config, tmp_path, capsys):
+        rc = main(["reliability", "--config", small_config, "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("validation error: --seed")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_rejected(self, small_config, tmp_path, capsys, threads):
+        rc = main(["reliability", "--config", small_config, "--threads", threads, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("validation error: --threads")
+        assert not (tmp_path / "run_manifest.json").exists()
 
 
 class TestSimulateArrivals(object):

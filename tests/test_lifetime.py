@@ -336,10 +336,14 @@ class TestClusterSampler:
             lambda rng: simulate_first_passage_batch(SPEC, 10.0, np.nan, 10, rng),
             lambda rng: simulate_first_passage_batch(SPEC, 10.0, 0.0, 10, rng),
             lambda rng: simulate_first_passage_batch(SPEC, 10.0, 10.0, -1, rng),
+            lambda rng: simulate_first_passage_batch(SPEC, 10.0, 10.0, 2.5, rng),
+            lambda rng: simulate_first_passage_batch(SPEC, 10.0, 10.0, True, rng),
+            lambda rng: simulate_first_passage_batch(SPEC, 10.0, "10", 10, rng),
             lambda rng: HittingTimeSampler(GROWTH, -3.0).sample(rng, 10),
         ],
         ids=["threshold_negative", "threshold_zero", "threshold_nan", "horizon_inf",
-             "horizon_nan", "horizon_zero", "n_negative", "sampler_threshold_negative"],
+             "horizon_nan", "horizon_zero", "n_negative", "n_float", "n_bool", "horizon_str",
+             "sampler_threshold_negative"],
     )
     def test_rejects_invalid_input(self, draw):
         with pytest.raises(ValidationError):

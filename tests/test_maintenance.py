@@ -73,6 +73,9 @@ class TestTypes:
         with pytest.raises(ValidationError, match="crossing_refinement"):
             SimControl(crossing_refinement=False)
         assert type(SimControl(substeps=np.int64(8)).substeps) is int
+        for bad in (2.5, True, 0):
+            with pytest.raises(ValidationError, match="n_cycles"):
+                estimate_cost_rate(SPEC, POLICY, COSTS, bad, SIM, 0, 0)
 
 
 class TestSimulateCycle:
