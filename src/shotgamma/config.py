@@ -70,12 +70,14 @@ def _section(node, where: str, required=(), optional=()) -> dict:
 
 
 @contextmanager
-def _fields_of(where: str):
-    """Re-raise a parameter type's ``ValidationError`` once, with its section's prefix."""
+def _fields_of(where: str, keys=None):
+    """Re-raise a parameter type's ``ValidationError`` once, with its section's
+    prefix; ``keys`` maps a field's name to the config key it is read from."""
     try:
         yield
     except ValidationError as exc:
-        raise ValidationError(f"{where}.{exc}") from None
+        name, sep, rest = str(exc).partition(" ")
+        raise ValidationError(f"{where}.{(keys or {}).get(name, name)}{sep}{rest}") from None
 
 
 def _grid_from(node, where: str) -> np.ndarray:
@@ -225,10 +227,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "T" in pol_raw or "M" in pol_raw:
         if not ("T" in pol_raw and "M" in pol_raw):
             raise ValidationError("a fixed policy must give both T and M")
-        fixed = PolicyParams(
-            checked_number(pol_raw["T"], "policy.T", above=0),
-            checked_number(pol_raw["M"], "policy.M", above=0),
-        )
+        with _fields_of("policy", {"inspection_period": "T", "preventive_threshold": "M"}):
+            fixed = PolicyParams(pol_raw["T"], pol_raw["M"])
         fixed.validate_against(system)
 
     costs = None

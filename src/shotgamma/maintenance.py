@@ -95,7 +95,8 @@ class SimControl:
     downtime low by at most ``T / substeps``. ``crossing_refinement`` adds
     that many bridge halvings inside the crossing step, shrinking the bias
     by ``2**levels``. A cycle still running after ``max_inspections``
-    windows is censored.
+    windows is censored. Every field is an integer (not a bool); numpy
+    integers are stored as Python ints (``errors.checked_number``'s rule).
     """
 
     substeps: int = 16

@@ -1,9 +1,9 @@
 """Run every shotgamma command of one source tree and keep all it writes, for byte comparisons.
 
-    python3 tools/cli_outputs.py --out OUT [--root TREE] [--seed S] [CONFIG.yaml ...]
+    python3 tools/cli_outputs.py --out OUT [--root TREE] [CONFIG.yaml ...]
 
 Runs the six commands (simulate-arrivals, reliability, fit, optimize,
-sensitivity, validate) with ``--deterministic --seed S`` through the CLI
+sensitivity, validate) with ``--deterministic --seed 7`` through the CLI
 of ``TREE`` (default: this checkout), on both presets and on each YAML
 file named. ``OUT/<config>/<command>/`` receives the command's output
 files, its stdout and stderr, and its exit code; ``fit`` reads
@@ -33,6 +33,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ("benchmark_deterministic", "benchmark_random_effects")
 COMMANDS = ("simulate-arrivals", "reliability", "fit", "optimize", "sensitivity", "validate")
+SEED = 7
 
 
 def write_observations(path: Path, seed: int = 20240) -> None:
@@ -48,10 +49,10 @@ def write_observations(path: Path, seed: int = 20240) -> None:
                 fh.write(f"{pid},{t:.12g},{x:.12g}\n")
 
 
-def run_command(root: Path, command: str, config: str, seed: int, data: Path, outdir: Path) -> None:
+def run_command(root: Path, command: str, config: str, data: Path, outdir: Path) -> None:
     outdir.mkdir(parents=True)
     argv = [sys.executable, "-m", "shotgamma.cli", command, "--config", config,
-            "--seed", str(seed), "--out", str(outdir), "--deterministic"]
+            "--seed", str(SEED), "--out", str(outdir), "--deterministic"]
     if command == "fit":
         argv += ["--data", str(data)]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -66,7 +67,6 @@ def main(argv=None) -> int:
     parser.add_argument("configs", nargs="*", help="YAML configs to run besides the presets")
     parser.add_argument("--root", type=Path, default=ROOT, help="source tree whose CLI runs")
     parser.add_argument("--out", type=Path, required=True, help="new directory for all outputs")
-    parser.add_argument("--seed", type=int, default=7, help="--seed passed to every command")
     args = parser.parse_args(argv)
     args.out.mkdir(parents=True)
     data = args.out / "observations.csv"
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     sources = list(PRESETS) + [str(Path(c).resolve()) for c in args.configs]
     for name, source in zip(names, sources):
         for command in COMMANDS:
-            run_command(args.root.resolve(), command, source, args.seed, data.resolve(),
+            run_command(args.root.resolve(), command, source, data.resolve(),
                         args.out / name / command)
             code = (args.out / name / command / "exit_code.txt").read_text().strip()
             print(f"{name} {command}: exit {code}", flush=True)
