@@ -20,6 +20,10 @@ from .errors import ValidationError, checked_number
 from .lifetime import SystemSpec
 from .maintenance import CostRates, PolicyParams, SimControl
 
+# libyaml's parser where PyYAML was built with it, about 9x faster than the
+# pure-Python one; both build values with the same safe constructor and resolver.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 PRESETS = {
     "benchmark_deterministic": """
 system:
@@ -185,7 +189,11 @@ def load_config(source: str) -> ExperimentConfig:
                 f"config '{source}' is neither a preset ({', '.join(sorted(PRESETS))}) "
                 f"nor a readable file: {exc}"
             ) from None
-    return parse_config(yaml.safe_load(text))
+    try:
+        raw = yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"config '{source}' is not valid YAML: {exc}") from None
+    return parse_config(raw)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

@@ -287,7 +287,7 @@ class DeltaHittingLaw:
         self._y_weights = np.concatenate(weights)
         self._y_tail = self._overshoot_tail(self._y_nodes) / norm
         self._tail_at_upper = float(self._overshoot_tail(np.array([upper]))[0] / norm)
-        from scipy.interpolate import PchipInterpolator  # lazy, as in lifetime
+        from scipy.interpolate import PchipInterpolator  # lazy: adds about 26 MB to a process
 
         y_interp = np.unique(np.concatenate([self._y_nodes, [lower, upper]]))
         self._tail_interp = PchipInterpolator(

@@ -53,42 +53,54 @@ class LifetimeCurve:
                 fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
+# Step of the uniform grids that tabulate the first-passage law and the void
+# table of ``analytics``: every tabulated output is within 1e-9 of the same
+# tables at a quarter of this step (README, numerical notes).
+LAW_STEP = 0.02
+# Interval count of a first-passage grid: even, at least _MIN_INTERVALS for
+# short horizons, at most _MAX_INTERVALS (the step grows past t_max 300).
+_MIN_INTERVALS = 64
+_MAX_INTERVALS = 15000
+
+
 class FirstPassageLaw:
     """Grid-cached survival and hazard of the first exceedance.
 
     Both come from two cumulative integrals of the hitting CDF ``F``:
     ``I(t) = int_0^t F`` and the decayed convolution
-    ``q(t) = int_0^t exp(-delta*(t-v)) F(v) dv``, advanced exactly per step
-    for piecewise-linear ``F``. Then ``survival = exp(-lambda0*I - mu*J)``
-    with ``J(t) = int_0^t (1 - exp(-q))``, and
-    ``hazard = lambda0*F + mu*(1 - exp(-q))``.
+    ``q(t) = int_0^t exp(-delta*(t-v)) F(v) dv``. Then
+    ``survival = exp(-lambda0*I - mu*J)`` with ``J(t) = int_0^t (1 - exp(-q))``,
+    and ``hazard = lambda0*F + mu*(1 - exp(-q))``. ``q``, ``I`` and ``J`` are
+    tabulated by :func:`_decayed_convolution` (``I`` and ``J`` at zero
+    decay) on a uniform grid of step ``LAW_STEP`` or less (more past
+    ``t_max`` 300), fourth order in the step, and read between the nodes by
+    cubic Hermite interpolation with the exact slopes ``lambda0*F``,
+    ``mu*G`` and ``F - delta*q``, also fourth order; ``G = 1 - exp(-q)``.
     """
 
     def __init__(self, arrivals: ShotNoiseParams, law: HittingLaw, t_max: float):
-        # imported on first use: scipy.interpolate adds about 26 MB to a process
-        from scipy.interpolate import PchipInterpolator
-
         if t_max <= 0:
             raise ValidationError("t_max must be positive")
         self.arrivals = arrivals
         self.law = law
         self.t_max = float(t_max)
-        n_grid = int(np.clip(t_max / 0.005, 4096, 60000))
-        ts = np.linspace(0.0, t_max, n_grid + 1)
-        h = ts[1] - ts[0]
+        half = np.ceil(0.5 * t_max / LAW_STEP)
+        n_int = 2 * int(np.clip(half, _MIN_INTERVALS // 2, _MAX_INTERVALS // 2))
+        ts = np.linspace(0.0, t_max, n_int + 1)
+        self._h = ts[1] - ts[0]
         F = law.cdf(ts)
-        delta = arrivals.delta
-        q = _decayed_convolution(F, h, delta)
+        q = _decayed_convolution(F, self._h, arrivals.delta)
         G = -np.expm1(-q)
-        I = _cumulative_simpson(F, h)
-        J = _cumulative_simpson(G, h)
-        self.times = ts
-        self._c1_interp = PchipInterpolator(ts, arrivals.lambda0 * I)
-        self._c2_interp = PchipInterpolator(ts, arrivals.mu * J)
-        self._q_interp = PchipInterpolator(ts, q)
+        lam0, mu = arrivals.lambda0, arrivals.mu
+        self._values = np.stack([
+            lam0 * _decayed_convolution(F, self._h, 0.0),
+            mu * _decayed_convolution(G, self._h, 0.0),
+            q,
+        ])
+        self._slopes = np.stack([lam0 * F, mu * G, F - arrivals.delta * q])
 
     def _at(self, t, evaluate):
-        """``evaluate(t, t clipped to the cached range)`` after a range check.
+        """``evaluate(t, lambda0*I, mu*J, q)`` at ``t`` after a range check.
 
         A scalar ``t`` gives a float, or a tuple of floats.
         """
@@ -99,38 +111,43 @@ class FirstPassageLaw:
                 f"time {t_arr[outside][0]:.10g} outside cached range [0, {self.t_max}] "
                 f"of the first-passage law of level {self.law.threshold:g}"
             )
-        out = evaluate(t_arr, np.clip(t_arr, 0.0, self.t_max))
+        out = evaluate(t_arr, *self._hermite(np.clip(t_arr, 0.0, self.t_max)))
         if not np.isscalar(t):
             return out
         return tuple(float(v[0]) for v in out) if isinstance(out, tuple) else float(out[0])
 
+    def _hermite(self, t: np.ndarray) -> np.ndarray:
+        """The three tables at ``t`` in ``[0, t_max]``, by cubic Hermite interpolation."""
+        x = t / self._h
+        i = np.minimum(x.astype(np.intp), self._values.shape[1] - 2)
+        s = x - i
+        s2 = s * s
+        y0, y1 = self._values[:, i], self._values[:, i + 1]
+        d0, d1 = self._h * self._slopes[:, i], self._h * self._slopes[:, i + 1]
+        return y0 + s2 * (3.0 - 2.0 * s) * (y1 - y0) + s * (1.0 - s) * ((1.0 - s) * d0 - s * d1)
+
     def survival(self, t) -> np.ndarray:
-        return self._at(t, lambda _, tc: np.exp(-(self._c1_interp(tc) + self._c2_interp(tc))))
+        return self._at(t, lambda _, c1, c2, q: np.exp(-(c1 + c2)))
 
     def factors(self, t) -> tuple[np.ndarray, np.ndarray]:
         """The base-level and shock survival factors, each in (0, 1]."""
-        return self._at(
-            t, lambda _, tc: (np.exp(-self._c1_interp(tc)), np.exp(-self._c2_interp(tc)))
-        )
+        return self._at(t, lambda _, c1, c2, q: (np.exp(-c1), np.exp(-c2)))
 
     def exposures(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``lambda0*I``, ``mu*J`` and ``q`` at ``t`` (see the class docstring)."""
-        return self._at(
-            t, lambda _, tc: (self._c1_interp(tc), self._c2_interp(tc), self._q_interp(tc))
-        )
+        return self._at(t, lambda _, c1, c2, q: (c1, c2, q))
 
     def hazard(self, t) -> np.ndarray:
         return self._at(
             t,
-            lambda t_arr, tc: self.arrivals.lambda0 * self.law.cdf(t_arr)
-            - self.arrivals.mu * np.expm1(-self._q_interp(tc)),
+            lambda t_arr, c1, c2, q: self.arrivals.lambda0 * self.law.cdf(t_arr)
+            - self.arrivals.mu * np.expm1(-q),
         )
 
     def hazard_derivative(self, t) -> np.ndarray:
         """Closed-form hazard slope; non-negative for every parameter set."""
 
-        def slope(t_arr, tc):
-            q = self._q_interp(tc)
+        def slope(t_arr, c1, c2, q):
             f = self.law.pdf(np.maximum(t_arr, 1e-12))
             # d/dt of the decayed convolution collapses to F - delta*q.
             return self.arrivals.lambda0 * f + self.arrivals.mu * np.exp(-q) * (
@@ -146,29 +163,83 @@ class FirstPassageLaw:
         )
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative Simpson integral from 0 along the last axis."""
-    from scipy.integrate import cumulative_simpson
+def _quadratic_basis(s: np.ndarray) -> np.ndarray:
+    """The Lagrange basis through the nodes 0, 1 and 2 of a panel (rows) at ``s``, in steps."""
+    return np.stack([0.5 * (s - 1.0) * (s - 2.0), s * (2.0 - s), 0.5 * s * (s - 1.0)])
 
-    return cumulative_simpson(y, dx=h, initial=0.0)
+
+def _step_kernel(c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``u`` in ``[0, 1]`` and weights ``w`` with ``w @ p(u) = int_0^1 exp(-c*u) p(u) du``.
+
+    16-node Gauss-Legendre on panels with ``c*width <= 1``, up to where the
+    kernel falls below ``exp(-40)``: exact to rounding for polynomial ``p``,
+    losing no digits at small ``c`` (as a closed form would) nor at large.
+    """
+    reach = 1.0 if c <= 40.0 else 40.0 / c
+    edges = np.linspace(0.0, reach, max(1, int(np.ceil(c * reach))) + 1)
+    nodes, weights = leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
+    return u, (half * weights).ravel() * np.exp(-c * u)
+
+
+def _first_order_filter(x: np.ndarray, a: float) -> np.ndarray:
+    """``y[k] = a*y[k-1] + x[k]`` along a last axis of length ``n >= 1``, from ``y[-1] = 0``.
+
+    ``a`` lies in ``[0, 1]``.
+
+    Each block is one scaled cumulative sum, ``y[s+j] = a**j * (a*y[s-1] +
+    sum_{i<=j} a**-i * x[s+i])``, with blocks short enough that ``a**-i``
+    stays below ``exp(230)``. Numpy only: ``scipy.signal.lfilter`` would
+    add about 48 MB to a process.
+    """
+    n = x.shape[-1]
+    block = n if a >= np.exp(-230.0 / n) else max(1, int(230.0 / -np.log(max(a, 1e-300))))
+    y = np.empty_like(x)
+    carry = np.zeros(x.shape[:-1])
+    for s in range(0, n, block):
+        k = np.arange(min(block, n - s))
+        y[..., s : s + k.size] = a**k * (
+            a * carry[..., None] + np.cumsum(x[..., s : s + k.size] * a**-k, axis=-1)
+        )
+        carry = y[..., s + k.size - 1]
+    return y
 
 
 def _decayed_convolution(f: np.ndarray, h: float, delta: float) -> np.ndarray:
     """``int_0^t exp(-delta*(t-v)) f(v) dv`` on a uniform grid (the last axis).
 
-    Advanced exactly per step for piecewise-linear ``f``; the recursion is a
-    first-order IIR filter.
+    The kernel is integrated exactly against the quadratic through the three
+    nodes of each two-step panel, so the result is exact for quadratic ``f``
+    and fourth order in ``h`` for smooth ``f``; at ``delta = 0`` the even
+    nodes are composite Simpson. The even nodes are one first-order
+    recursion over the panels, each odd node is the even node before it plus
+    the first step of its panel, and an even length closes with the last
+    step of the last three nodes. Any leading shape, and any length of at
+    least 1 (length 2 is exact for linear ``f`` only).
     """
-    from scipy.signal import lfilter
-
+    f = np.asarray(f, float)
+    n = f.shape[-1]
+    out = np.zeros_like(f)
     decay = np.exp(-delta * h)
-    w0 = (1.0 - decay) / delta
-    w1 = h / delta - w0 / delta
-    slopes = np.diff(f) / h
-    drive = f[..., :-1] * w0 + slopes * w1
-    out = np.empty_like(f)
-    out[..., 0] = 0.0
-    out[..., 1:] = lfilter([1.0], [1.0, -decay], drive)
+    # u is the distance back from the right end of a step, in steps
+    u, w = _step_kernel(delta * h)
+    w = h * w
+    if n == 2:
+        out[..., 1] = f @ np.array([w @ u, w @ (1.0 - u)])
+    if n < 3:
+        return out
+    # weights of the panel's three nodes over its first and its second step
+    first = _quadratic_basis(1.0 - u) @ w
+    second = _quadratic_basis(2.0 - u) @ w
+    full = decay * first + second
+    m = 2 * ((n - 1) // 2)
+    f0, f1, f2 = f[..., 0:m:2], f[..., 1:m:2], f[..., 2 : m + 1 : 2]
+    drive = full[0] * f0 + full[1] * f1 + full[2] * f2
+    out[..., 2 : m + 1 : 2] = _first_order_filter(drive, decay * decay)
+    out[..., 1:m:2] = decay * out[..., 0:m:2] + first[0] * f0 + first[1] * f1 + first[2] * f2
+    if n % 2 == 0:
+        out[..., -1] = decay * out[..., -2] + f[..., -3:] @ second
     return out
 
 

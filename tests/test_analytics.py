@@ -3,7 +3,13 @@ import functools
 import numpy as np
 import pytest
 
-from shotgamma.analytics import PolicyAnalytics, analytic_cycle_quantities, cost_rate_analytic
+from shotgamma import lifetime
+from shotgamma.analytics import (
+    PolicyAnalytics,
+    _simpson_at_windows,
+    analytic_cycle_quantities,
+    cost_rate_analytic,
+)
 from shotgamma.arrivals import ShotNoiseParams
 from shotgamma.degradation import GammaModel
 from shotgamma.errors import NumericalError, ValidationError
@@ -195,6 +201,47 @@ class TestCostRate:
         got = cost_rate_analytic(SPEC, POLICY, CostRates(c, c, ci, 0.0), k_max=5)
         want = c / quantities.expected_cycle_length + ci / POLICY.inspection_period
         assert got == pytest.approx(want, rel=1e-4)
+
+
+class TestTableStep:
+    """The tables at ``lifetime.LAW_STEP`` against the same code at a quarter of it."""
+
+    @staticmethod
+    def _splits(policy, k_max):
+        lifetime._cached_first_passage.cache_clear()
+        eng = PolicyAnalytics(SPEC, policy, k_max, 1e-9)
+        return np.array([eng.window_split(k) for k in range(eng.n_windows())])
+
+    @pytest.mark.parametrize(
+        "policy, k_max",
+        [
+            (PolicyParams(19.0 / 3.0, 34.0 / 7.0), 13),
+            (PolicyParams(1.0, 4.0), 20),
+            (PolicyParams(9.0, 10.0), 9),
+            (PolicyParams(4.0, 0.05), 20),
+        ],
+        ids=["preset_optimum", "T1", "M_eq_L", "M_small"],
+    )
+    def test_window_split_matches_quarter_step(self, monkeypatch, policy, k_max):
+        try:
+            coarse = self._splits(policy, k_max)
+            monkeypatch.setattr(lifetime, "LAW_STEP", lifetime.LAW_STEP / 4)
+            fine = self._splits(policy, k_max)
+        finally:
+            lifetime._cached_first_passage.cache_clear()
+        assert coarse.shape == fine.shape
+        np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n, per", [(1, 2), (2, 2), (4, 6), (3, 50)])
+    def test_window_sums_are_simpson(self, n, per):
+        from scipy.integrate import simpson
+
+        h = 0.3
+        y = np.random.default_rng(5).normal(size=(3, (n - 1) * per + 1))
+        got = _simpson_at_windows(y, h, per)
+        assert got.shape == (3, n)
+        want = [[simpson(row[: k * per + 1], dx=h) if k else 0.0 for k in range(n)] for row in y]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
 
 class TestAgainstSimulation:

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from shotgamma import analytics, cli, degradation, lifetime, maintenance
 from shotgamma.cli import main
-from shotgamma.config import load_config, parse_config
+from shotgamma.config import PRESETS, _YAML_LOADER, load_config, parse_config
 from shotgamma.degradation import GammaModel, simulate_observation_paths, write_observations_csv
 from shotgamma.errors import ValidationError
 
@@ -149,10 +150,11 @@ class TestConfig:
          ("shape_rate", "  shape_rate: 1.1\n", ""),
          ("policy", SMALL_CONFIG[SMALL_CONFIG.index("policy:"):SMALL_CONFIG.index("costs:")],
           "policy: 5\n"),
-         ("system.scale.uniform_inverse", "scale: {beta: 1.4}", "scale: {uniform_inverse: 3}")],
+         ("system.scale.uniform_inverse", "scale: {beta: 1.4}", "scale: {uniform_inverse: 3}"),
+         ("is not valid YAML", "M_grid: [4.0, 6.1428571]", "M_grid: [4.0, 6.1428571")],
         ids=["lambda0_nan", "lambda0_str", "horizon_inf", "beta_bool", "grid_entry_str",
              "count_float", "count_negative", "grid_entry_zero", "missing_shape_rate", "policy_not_mapping",
-             "uniform_inverse_not_mapping"],
+             "uniform_inverse_not_mapping", "invalid_yaml"],
     )
     def test_malformed_config_exits_cleanly(self, tmp_path, capsys, field, line, template):
         path = tmp_path / "bad.yaml"
@@ -163,6 +165,26 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        *PRESETS.values(),
+        SMALL_CONFIG,
+        "a: 1e-3\nb: .nan\nc: yes\nd: 0x1f\ne: 1.0e-3\nf: ~\ng: 0o17\nh: 1_000\ni: -.inf\n"
+        "j: 2001-12-14\nk: [on, Off, NO]\nl: '1e-3'\nm: 0b101\nn: 12:30:00\no: !!float 3\n",
+    ], ids=[*PRESETS, "small", "tricky_scalars"])
+    def test_parser_matches_pure_python_safe_loader(self, text):
+        def canonical(value):
+            # NaN never equals itself, so compare representations
+            return repr(value) if isinstance(value, float) else value
+
+        def walk(node):
+            if isinstance(node, dict):
+                return {k: walk(v) for k, v in node.items()}
+            if isinstance(node, list):
+                return [walk(v) for v in node]
+            return (type(node), canonical(node))
+
+        assert walk(yaml.load(text, Loader=_YAML_LOADER)) == walk(yaml.load(text, Loader=yaml.SafeLoader))
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["optimize", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])

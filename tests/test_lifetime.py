@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 from scipy.stats import kstest
 
+from shotgamma import lifetime
 from shotgamma.arrivals import ShotNoiseParams, simulate_arrival_batch
-from shotgamma.degradation import GammaModel, hitting_cdf
+from shotgamma.degradation import GammaModel, HittingLaw, hitting_cdf
 from shotgamma.errors import ValidationError
 from shotgamma.lifetime import (
     HittingTimeSampler,
@@ -351,3 +352,103 @@ class TestClusterSampler:
 
     def test_no_systems(self):
         assert simulate_first_passage_batch(SPEC, 10.0, 10.0, 0, np.random.default_rng(0)).size == 0
+
+
+def _decayed_reference(p, t, delta):
+    """``int_0^t exp(-delta*(t-v)) p(v) dv`` by adaptive quadrature."""
+    from scipy.integrate import quad
+
+    if t == 0:
+        return 0.0
+    return quad(lambda v: np.exp(-delta * (t - v)) * p(v), 0.0, t, epsabs=1e-15, epsrel=1e-13)[0]
+
+
+class TestDecayedConvolution:
+    # two nodes determine a line only, so length 2 is exact up to degree 1
+    @pytest.mark.parametrize("delta", [1e-3, 0.5, 50.0])
+    @pytest.mark.parametrize(
+        "n, power", [(n, p) for n in (1, 2, 3, 4, 5, 10, 11) for p in (0, 1, 2) if n != 2 or p < 2]
+    )
+    def test_exact_for_quadratics(self, delta, n, power):
+        h = 0.1
+        t = h * np.arange(n)
+        got = lifetime._decayed_convolution(t**power, h, delta)
+        want = [_decayed_reference(lambda v: v**power, x, delta) for x in t]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    def test_rows_of_two_dimensional_input(self, n):
+        h, delta = 0.25, 0.7
+        t = h * np.arange(n)
+        coeffs = [(1.0, 0.0, 0.0), (3.0, -1.0, 0.0), (0.0, 2.0, 1.0)][: 2 if n == 2 else 3]
+        rows = np.stack([c0 + c1 * t + c2 * t * t for c0, c1, c2 in coeffs])
+        got = lifetime._decayed_convolution(rows, h, delta)
+        assert got.shape == rows.shape
+        for (c0, c1, c2), row, out in zip(coeffs, rows, got):
+            np.testing.assert_array_equal(out, lifetime._decayed_convolution(row, h, delta))
+            want = [_decayed_reference(lambda v: c0 + c1 * v + c2 * v * v, x, delta) for x in t]
+            np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.5, 50.0])
+    def test_fourth_order(self, delta):
+        def exact(t):
+            # f = sin(3t) + exp(-t), convolved in closed form
+            sine = (delta * np.sin(3 * t) - 3 * np.cos(3 * t) + 3 * np.exp(-delta * t)) / (delta**2 + 9)
+            return sine + (np.exp(-t) - np.exp(-delta * t)) / (delta - 1.0)
+
+        errors = []
+        for n in (401, 801):
+            t = np.linspace(0.0, 4.0, n)
+            got = lifetime._decayed_convolution(np.sin(3 * t) + np.exp(-t), t[1], delta)
+            errors.append(np.max(np.abs(got - exact(t))))
+        assert errors[0] / errors[1] >= 12.0
+
+    def test_zero_decay_is_the_running_integral(self):
+        t = np.linspace(0.0, 3.0, 301)
+        got = lifetime._decayed_convolution(np.cos(t), t[1], 0.0)
+        # composite Simpson's error bound, 3 * h**4 / 180, is about 1.7e-10
+        np.testing.assert_allclose(got, np.sin(t), rtol=0, atol=1e-9)
+
+
+class TestLawAccuracy:
+    """The tabulated law against independent references, within 1e-9 on and off the grid."""
+
+    T_MAX = 13.5
+    TIMES = np.array([0.0, 0.0137, 0.5, 1.2345, np.pi, 5.0, 7.777, 10.0, 12.9, 13.5])
+
+    @staticmethod
+    def _reference(spec, threshold, times):
+        """(survival, hazard) from an ODE for ``I``, ``q`` and ``J`` and quadrature for ``q``."""
+        from scipy.integrate import quad, solve_ivp
+
+        law = HittingLaw(spec.growth, threshold)
+        arr = spec.arrivals
+
+        def rhs(t, y):
+            f = float(law.cdf(t))
+            return [f, f - arr.delta * y[1], -np.expm1(-y[1])]
+
+        sol = solve_ivp(rhs, (0.0, times[-1]), [0.0, 0.0, 0.0], method="DOP853",
+                        t_eval=times, rtol=1e-13, atol=1e-15)
+        survival = np.exp(-arr.lambda0 * sol.y[0] - arr.mu * sol.y[2])
+        q = [_decayed_reference(lambda v: float(law.cdf(v)), t, arr.delta) for t in times]
+        hazard = arr.lambda0 * law.cdf(times) - arr.mu * np.expm1(-np.array(q))
+        return survival, hazard
+
+    @pytest.mark.parametrize("spec", [SPEC, SystemSpec(ShotNoiseParams(1.3, 0.0, 0.5), GROWTH, 10.0)],
+                             ids=["preset", "shock_free"])
+    def test_survival_and_hazard(self, spec):
+        law = lifetime.FirstPassageLaw(spec.arrivals, HittingLaw(spec.growth, 10.0), self.T_MAX)
+        survival, hazard = self._reference(spec, 10.0, self.TIMES)
+        np.testing.assert_allclose(law.survival(self.TIMES), survival, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(law.hazard(self.TIMES), hazard, rtol=0, atol=1e-9)
+
+    def test_shock_free_closed_form(self):
+        spec = SystemSpec(ShotNoiseParams(1.3, 0.0, 0.5), GROWTH, 10.0)
+        law = lifetime.FirstPassageLaw(spec.arrivals, HittingLaw(GROWTH, 10.0), self.T_MAX)
+        integral = [_decayed_reference(lambda v: hitting_cdf(1.1, 1.4, 10.0, v), t, 0.0)
+                    for t in self.TIMES]
+        np.testing.assert_allclose(law.survival(self.TIMES), np.exp(-1.3 * np.array(integral)),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(law.hazard(self.TIMES),
+                                   1.3 * hitting_cdf(1.1, 1.4, 10.0, self.TIMES), rtol=0, atol=1e-15)
