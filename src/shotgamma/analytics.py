@@ -30,7 +30,7 @@ from scipy import special as sp
 from . import degradation
 from .errors import NumericalError, ValidationError, checked_number
 from . import lifetime
-from .lifetime import HittingLaw, SystemSpec, _decayed_convolution, first_passage_law
+from .lifetime import SystemSpec, _decayed_convolution, first_passage_law
 from .maintenance import CostRates, PolicyParams
 from .special import leggauss
 
@@ -38,6 +38,8 @@ from .special import leggauss
 # half of the level range. The uniform age grid takes ``lifetime.LAW_STEP``.
 _D_NODES = 32
 _X_NODES = 24
+# Where the horizon search gives up, so that it ends when S_M never falls below tol.
+_MAX_HORIZON = 2048.0
 
 
 def _gl(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -52,7 +54,7 @@ class CycleAnalytics:
     ``preventive_probs[k]`` / ``corrective_probs[k]`` / ``downtimes[k]``
     refer to the cycle ending at inspection ``(k+1)T``. The partition
     identity ``sum(P_p + P_c) = 1 - truncation_deficit`` holds by
-    construction up to quadrature error.
+    construction up to rounding.
     """
 
     expected_cycle_length: float
@@ -78,46 +80,42 @@ class CycleAnalytics:
 class PolicyAnalytics:
     """Evaluator of the per-window maintenance formulas of one policy.
 
-    The first-exceedance laws come from the shared law cache; the table of
-    ``log V_k`` over every window is built on the first ``window_split``
-    call and serves the others.
+    Every series stops at the first ``n`` with ``S_M(nT) < tol``, or at an
+    optional cap ``k_max``. The laws come from the shared law cache at the
+    horizons of :func:`_law_past`; the table of ``log V_k`` over the ``n``
+    windows is built on the first ``window_split`` call and serves the others.
     """
 
-    def __init__(self, spec: SystemSpec, policy: PolicyParams, k_max: int = 8, tol: float = 1e-6):
-        k_max = checked_number(k_max, "k_max", at_least=1, integer=True)
+    def __init__(self, spec: SystemSpec, policy: PolicyParams, k_max: int | None = None, tol: float = 1e-9):
+        if k_max is not None:
+            k_max = checked_number(k_max, "k_max", at_least=1, integer=True)
         tol = checked_number(tol, "tol", above=0)
         if tol >= 1.0:
             raise ValidationError(f"tol must lie in (0, 1), got {tol}")
         policy.validate_against(spec)
         self.spec = spec
         self.policy = policy
-        self.k_max = k_max
         self.tol = tol
         T = policy.inspection_period
-        M = policy.preventive_threshold
-        horizon = (k_max + 1) * T
-        self._law_m = HittingLaw(spec.growth, M)
-        self._passage = first_passage_law(spec, M, horizon + T)
-        # S_M(min(iT, t_max)) for i = 0 .. k_max + 3, which reaches past t_max
-        i_t = np.minimum(T * np.arange(k_max + 4), self._passage.t_max)
-        self._survival = self._passage.survival(i_t)
+        self._passage = _law_past(spec, policy.preventive_threshold, T, tol)
+        s = self._passage.survival(T * np.arange(int(self._passage.t_max // T) + 1))
+        n = int(np.argmax(s < tol)) or s.size - 1  # S_M(0) = 1, so 0 means none is below tol
+        self._n = min(n, k_max or n)
+        # S_M(kT) for k = 0 .. n
+        self._survival = s[: self._n + 1]
         self._log_voids = None
         self._gap = None
 
     # -- exact cycle-length series ------------------------------------
 
     def cycle_length_series(self) -> tuple[float, float, float]:
-        """(E[R], E[N_I], deficit at the analysis cap) from the renewal series."""
-        T, s = self.policy.inspection_period, self._survival
-        # the series ends at its first term below 1e-12 or at the law's range
-        last = np.flatnonzero((s < 1e-12) | (T * np.arange(s.size) >= self._passage.t_max))[0]
-        total = float(np.cumsum(np.append(1.0, s[1 : last + 1]))[-1])
-        return T * total, total, float(s[self.k_max])
+        """(E[R], E[N_I], deficit ``S_M(nT)``) from the renewal series over ``k < n``."""
+        total = float(self._survival[:-1].sum())
+        return self.policy.inspection_period * total, total, float(self._survival[-1])
 
     def n_windows(self) -> int:
-        """Windows up to ``k_max`` that start with preventive survival of at least ``tol``."""
-        below = np.flatnonzero(self._survival[: self.k_max] < self.tol)
-        return int(below[0]) if below.size else self.k_max
+        """The ``n`` priced windows: those starting with ``S_M(kT) >= tol``, at most ``k_max``."""
+        return self._n
 
     # -- window quantities ----------------------------------------------
 
@@ -138,7 +136,7 @@ class PolicyAnalytics:
         gap_surv, shock_conv = self._gap_law()
         gap_cdf = lambda t: 1.0 - gap_surv(t)
         w, ww = _gl(u, v)
-        area = float(np.sum(ww * self._law_m.cdf(w) * gap_cdf(v - w)))
+        area = float(np.sum(ww * self._passage.law.cdf(w) * gap_cdf(v - w)))
         s, ws = _gl(0.0, v)
         nodes, weights = leggauss(32)
         lo = np.maximum(s, u)
@@ -157,19 +155,19 @@ class PolicyAnalytics:
             from scipy.interpolate import PchipInterpolator
 
             spec, M = self.spec, self.policy.preventive_threshold
-            horizon = (self.k_max + 1) * self.policy.inspection_period
+            horizon = self._n * self.policy.inspection_period
             ts = np.linspace(0.0, horizon, int(np.clip(horizon / 0.01, 2048, 20000)))
             # looked up on the module at call time, where a tracer may rebind it
             gap = degradation.DeltaHittingLaw(
                 spec.growth.shape_rate, spec.growth.scale_spec.beta, M, spec.failure_threshold
             )
-            f_m = self._law_m.pdf(np.maximum(ts, 1e-9))
+            f_m = self._passage.law.pdf(np.maximum(ts, 1e-9))
             conv = _decayed_convolution(f_m, ts[1] - ts[0], spec.arrivals.delta)
             self._gap = PchipInterpolator(ts, gap.survival(ts)), PchipInterpolator(ts, conv)
         return self._gap
 
-    def _void_table(self, n: int) -> np.ndarray:
-        """``log V_k(d)`` for windows ``k < n`` (columns) at the downtime nodes and ``d = T`` (rows).
+    def _void_table(self) -> np.ndarray:
+        """``log V_k(d)`` for the windows ``k < n`` (columns) at the downtime nodes and ``d = T`` (rows).
 
         ``V_k(d)`` is the probability that no process is at or above M at
         ``a = kT`` and none at or above L at ``a + d``: the void probability
@@ -190,7 +188,7 @@ class PolicyAnalytics:
         inspection ages. ``V`` is within 1e-9 of the same table at a quarter
         of the step, as the first-exceedance law is.
         """
-        spec, arr = self.spec, self.spec.arrivals
+        spec, arr, n = self.spec, self.spec.arrivals, self._n
         T = self.policy.inspection_period
         M, L = self.policy.preventive_threshold, spec.failure_threshold
         alpha = spec.growth.shape_rate
@@ -225,7 +223,7 @@ class PolicyAnalytics:
                 + p_r @ (w[:, None] * sp.gammaincc(shape, beta * (L - x_hi)[:, None]))
             )
         g = np.ascontiguousarray(g.T)
-        base_l, shock_l, q_l = first_passage_law(spec, L, T).exposures(d)
+        base_l, shock_l, q_l = _law_past(spec, L, T, self.tol).exposures(d)
         conv = _decayed_convolution(g, h, arr.delta)
         shock = -np.expm1(-(conv + np.exp(-arr.delta * r) * q_l[:, None]))
         base = _simpson_at_windows(g, h, per)
@@ -239,17 +237,18 @@ class PolicyAnalytics:
         ``P_c = S_M(a) - V_k(T)``, ``E_d = int_0^T (S_M(a) - V_k(d)) dd`` by
         Gauss-Legendre in ``d``, and ``P_p = S_M(a) - S_M(a+T) - P_c``. At
         ``M = L`` the first crossing is the failure, so ``V_k(d) = S_L(a+d)``
-        and ``P_p = 0``.
+        and ``P_p = 0``. ``k`` must be one of the ``n`` priced windows.
         """
+        if not 0 <= k < self._n:
+            raise ValidationError(f"window {k} outside the {self._n} priced windows 0..{self._n - 1}")
         T = self.policy.inspection_period
-        s_a = float(self._passage.survival(k * T))
-        s_tau = float(self._passage.survival((k + 1) * T))
+        s_a, s_tau = self._survival[k : k + 2]
         nodes, wd = leggauss(_D_NODES)
         if self.policy.preventive_threshold >= self.spec.failure_threshold:
             voids = np.append(self._passage.survival(k * T + 0.5 * T * (nodes + 1.0)), s_tau)
         else:
-            if self._log_voids is None or k >= self._log_voids.shape[1]:
-                self._log_voids = self._void_table(max(k + 1, self.n_windows()))
+            if self._log_voids is None:
+                self._log_voids = self._void_table()
             voids = np.exp(self._log_voids[:, k])
         p_c = s_a - float(voids[-1])
         downtime = 0.5 * T * float(np.sum(wd * (s_a - voids[:-1])))
@@ -269,41 +268,42 @@ def _simpson_at_windows(y: np.ndarray, h: float, per: int) -> np.ndarray:
     return out
 
 
+def _law_past(spec: SystemSpec, level: float, T: float, tol: float) -> lifetime.FirstPassageLaw:
+    """The cached law of ``level`` on the shortest ``t = 32*2**j > T`` with ``S(t - T) < tol``,
+    the search stopping once ``t`` reaches ``_MAX_HORIZON``. The cells of a
+    grid share it per level, and every priced window, ``nT < t``, lies in its range.
+    """
+    t = 32.0
+    while t <= T:
+        t *= 2.0
+    law = first_passage_law(spec, level, t)
+    while t < _MAX_HORIZON and law.survival(t - T) >= tol:
+        t *= 2.0
+        law = first_passage_law(spec, level, t)
+    return law
+
+
 def analytic_cycle_quantities(
-    spec: SystemSpec, policy: PolicyParams, k_max: int = 8, tol: float = 1e-6
+    spec: SystemSpec, policy: PolicyParams, k_max: int | None = None, tol: float = 1e-9
 ) -> CycleAnalytics:
     """Expected cycle length, inspections, and per-window action split.
 
-    Windows are evaluated up to ``k_max`` or until the preventive-threshold
-    survival drops below ``tol``, whichever comes first; a truncation
-    deficit above ``10 * tol`` raises.
+    Every sum runs over the ``n`` windows of :class:`PolicyAnalytics`; a
+    deficit of at least ``tol`` (``k_max`` or ``_MAX_HORIZON`` came first) raises.
     """
     eng = PolicyAnalytics(spec, policy, k_max, tol)
-    e_r, e_ni, _ = eng.cycle_length_series()
-    n_windows = eng.n_windows()
-    p_p, p_c, e_d = np.array([eng.window_split(k) for k in range(n_windows)]).reshape(-1, 3).T
-    deficit = float(eng._survival[n_windows])
-    if deficit > 10 * tol:
+    e_r, e_ni, deficit = eng.cycle_length_series()
+    if deficit >= tol:
         raise NumericalError(
-            f"window series truncated at k_max={k_max} (T={policy.inspection_period:g}, "
-            f"M={policy.preventive_threshold:g}) with deficit {deficit:.3e} > 10*tol; raise k_max"
+            f"window series truncated at k_max={k_max} (T={policy.inspection_period:g}, M="
+            f"{policy.preventive_threshold:g}) with deficit {deficit:.3e} >= tol at t_max={eng._passage.t_max:g}"
         )
-    return CycleAnalytics(
-        expected_cycle_length=e_r,
-        expected_inspections=e_ni,
-        preventive_probs=p_p,
-        corrective_probs=p_c,
-        downtimes=e_d,
-        truncation_deficit=deficit,
-    )
+    p_p, p_c, e_d = np.array([eng.window_split(k) for k in range(eng.n_windows())]).reshape(-1, 3).T
+    return CycleAnalytics(e_r, e_ni, p_p, p_c, e_d, deficit)
 
 
 def cost_rate_analytic(
-    spec: SystemSpec,
-    policy: PolicyParams,
-    costs: CostRates,
-    k_max: int = 8,
-    tol: float = 1e-6,
+    spec: SystemSpec, policy: PolicyParams, costs: CostRates, k_max: int | None = None, tol: float = 1e-9
 ) -> float:
     """Expected cost per unit time from the analytic cycle quantities."""
     q = analytic_cycle_quantities(spec, policy, k_max, tol)

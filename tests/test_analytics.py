@@ -57,7 +57,63 @@ class TestSeries:
 
     def test_truncation_error_names_policy_and_cap(self):
         with pytest.raises(NumericalError, match=r"k_max=8 \(T=1, M=5\) with deficit 1\.\d+e-02"):
-            analytic_cycle_quantities(SPEC, PolicyParams(1.0, 5.0))
+            analytic_cycle_quantities(SPEC, PolicyParams(1.0, 5.0), k_max=8)
+
+    def test_window_sums_share_one_truncation(self):
+        # E[N_I], the split and the deficit all stop at the first window
+        # whose start survival is below tol
+        policy = PolicyParams(8.0, 7.0)
+        eng = PolicyAnalytics(SPEC, policy)
+        q = analytic_cycle_quantities(SPEC, policy)
+        n = eng.n_windows()
+        series = float(eng._passage.survival(8.0 * np.arange(n)).sum())
+        assert q.expected_inspections == pytest.approx(series, rel=1e-14)
+        assert q.preventive_probs.size == n
+        total = q.total_preventive + q.total_corrective
+        assert total == pytest.approx(1.0 - q.truncation_deficit, abs=1e-12)
+        assert q.truncation_deficit < eng.tol
+
+    @pytest.mark.parametrize("policy", [PolicyParams(25.0, 10.0), PolicyParams(6.0, 5.0)])
+    def test_window_cap_changes_no_value(self, policy):
+        rates = [cost_rate_analytic(SPEC, policy, COSTS, k_max=k) for k in (None, 8, 80)]
+        assert rates[0] == rates[1] == rates[2]
+
+    def test_window_beyond_the_priced_ones_rejected(self):
+        eng = PolicyAnalytics(SPEC, PolicyParams(8.0, 7.0))
+        with pytest.raises(ValidationError, match="window"):
+            eng.window_split(eng.n_windows())
+
+    def test_survival_that_never_falls_raises(self):
+        # without arrivals S_M = 1 everywhere: the horizon search stops at
+        # its cap and the deficit check fires
+        spec = SystemSpec(ShotNoiseParams(0.0, 0.0, 0.5), SPEC.growth, 10.0)
+        with pytest.raises(NumericalError, match="deficit 1.000e\\+00"):
+            cost_rate_analytic(spec, PolicyParams(6.0, 5.0), COSTS)
+
+
+class TestPresetGrid:
+    @pytest.fixture(scope="class")
+    def preset(self):
+        from shotgamma.config import load_config
+
+        return load_config("benchmark_deterministic")
+
+    def test_first_row_evaluates_at_defaults(self, preset):
+        for M in preset.m_grid:
+            rate = cost_rate_analytic(preset.system, PolicyParams(1.0, float(M)), preset.costs)
+            assert np.isfinite(rate) and rate > 0
+
+    def test_laws_shared_across_the_grid(self, preset):
+        lifetime._cached_first_passage.cache_clear()
+        try:
+            for T in preset.t_grid:
+                for M in preset.m_grid:
+                    cost_rate_analytic(preset.system, PolicyParams(float(T), float(M)), preset.costs)
+            info = lifetime._cached_first_passage.cache_info()
+        finally:
+            lifetime._cached_first_passage.cache_clear()
+        assert info.misses <= 2 * len(preset.m_grid)
+        assert info.currsize < info.maxsize
 
 
 class TestWindowPartition:

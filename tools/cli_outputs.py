@@ -9,7 +9,11 @@ file named. ``OUT/<config>/<command>/`` receives the command's output
 files, its stdout and stderr, and its exit code; ``fit`` reads
 ``OUT/observations.csv``, written here from a fixed generator. A command
 that rejects its config (``sensitivity`` on a preset, which has no
-sensitivity section) is recorded like any other.
+sensitivity section) is recorded like any other. One more step,
+``analytic``, which no CLI command reaches, writes
+``OUT/<config>/analytic/surface.csv``: ``cost_rate_analytic`` of ``TREE``
+at its defaults on every cell of the config's grid, as ``%.10g`` or the
+name of the exception the cell raised.
 
 To check that a change leaves every output byte-identical, run the parent
 from a ``git archive`` export and compare the two directories:
@@ -32,8 +36,28 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ("benchmark_deterministic", "benchmark_random_effects")
-COMMANDS = ("simulate-arrivals", "reliability", "fit", "optimize", "sensitivity", "validate")
+COMMANDS = ("simulate-arrivals", "reliability", "fit", "optimize", "sensitivity", "validate", "analytic")
 SEED = 7
+# The ``analytic`` step, run as ``python -c ANALYTIC_SURFACE CONFIG OUTDIR``.
+ANALYTIC_SURFACE = """
+import sys
+from shotgamma.analytics import cost_rate_analytic
+from shotgamma.config import load_config
+from shotgamma.maintenance import PolicyParams
+
+config = load_config(sys.argv[1])
+t_grid, m_grid = config.grids_or_error()
+with open(sys.argv[2] + "/surface.csv", "w") as fh:
+    fh.write("T,M,cost_rate\\n")
+    for T in t_grid:
+        for M in m_grid:
+            try:
+                value = "%.10g" % cost_rate_analytic(config.system, PolicyParams(float(T), float(M)),
+                                                     config.costs_or_error())
+            except Exception as exc:
+                value = type(exc).__name__
+            fh.write("%.10g,%.10g,%s\\n" % (T, M, value))
+"""
 
 
 def write_observations(path: Path, seed: int = 20240) -> None:
@@ -51,8 +75,11 @@ def write_observations(path: Path, seed: int = 20240) -> None:
 
 def run_command(root: Path, command: str, config: str, data: Path, outdir: Path) -> None:
     outdir.mkdir(parents=True)
-    argv = [sys.executable, "-m", "shotgamma.cli", command, "--config", config,
-            "--seed", str(SEED), "--out", str(outdir), "--deterministic"]
+    if command == "analytic":
+        argv = [sys.executable, "-c", ANALYTIC_SURFACE, config, str(outdir)]
+    else:
+        argv = [sys.executable, "-m", "shotgamma.cli", command, "--config", config,
+                "--seed", str(SEED), "--out", str(outdir), "--deterministic"]
     if command == "fit":
         argv += ["--data", str(data)]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
