@@ -28,7 +28,6 @@ from .degradation import (
 )
 from .errors import NumericalError, ValidationError
 from .lifetime import (
-    LifetimeCurve,
     SystemSpec,
     displaced_expected_intensity,
     expected_exceedances,
@@ -47,4 +46,4 @@ from .maintenance import (
     simulate_cycle,
 )
 from .analytics import CycleAnalytics, analytic_cycle_quantities, cost_rate_analytic
-from .special import QuadratureSpec, integrate
+from .special import integrate

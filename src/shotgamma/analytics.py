@@ -32,7 +32,7 @@ from .errors import NumericalError, ValidationError, checked_number
 from . import lifetime
 from .lifetime import SystemSpec, _decayed_convolution, first_passage_law
 from .maintenance import CostRates, PolicyParams
-from .special import leggauss
+from .special import gauss_legendre
 
 # Void table resolution: Gauss-Legendre nodes in the downtime d and on each
 # half of the level range. The uniform age grid takes ``lifetime.LAW_STEP``.
@@ -40,11 +40,6 @@ _D_NODES = 32
 _X_NODES = 24
 # Where the horizon search gives up, so that it ends when S_M never falls below tol.
 _MAX_HORIZON = 2048.0
-
-
-def _gl(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = leggauss(32)
-    return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
 
 
 @dataclass(frozen=True)
@@ -135,13 +130,11 @@ class PolicyAnalytics:
             return 1.0
         gap_surv, shock_conv = self._gap_law()
         gap_cdf = lambda t: 1.0 - gap_surv(t)
-        w, ww = _gl(u, v)
+        w, ww = gauss_legendre([u, v], 32)
         area = float(np.sum(ww * self._passage.law.cdf(w) * gap_cdf(v - w)))
-        s, ws = _gl(0.0, v)
-        nodes, weights = leggauss(32)
-        lo = np.maximum(s, u)
-        mid = 0.5 * (v - lo)[:, None] * (nodes + 1.0) + lo[:, None]
-        wts = 0.5 * (v - lo)[:, None] * weights
+        s, ws = gauss_legendre([0.0, v], 32)
+        # one rule on (max(s, u), v) per shock time s
+        mid, wts = gauss_legendre(np.stack([np.maximum(s, u), np.full_like(s, v)], axis=-1), 32)
         q = np.sum(wts * shock_conv(np.maximum(mid - s[:, None], 0.0)) * gap_cdf(v - mid), axis=1)
         j = float(np.sum(ws * (-np.expm1(-q))))
         arr = self.spec.arrivals
@@ -192,8 +185,7 @@ class PolicyAnalytics:
         T = self.policy.inspection_period
         M, L = self.policy.preventive_threshold, spec.failure_threshold
         alpha = spec.growth.shape_rate
-        nodes, _ = leggauss(_D_NODES)
-        d = np.append(0.5 * T * (nodes + 1.0), T)
+        d = np.append(gauss_legendre([0.0, T], _D_NODES)[0], T)
         per = 2 * int(np.ceil(0.5 * T / lifetime.LAW_STEP))
         h = T / per
         r = np.linspace(0.0, (n - 1) * T, (n - 1) * per + 1)
@@ -203,8 +195,7 @@ class PolicyAnalytics:
         # with f_d the density of the increment over d, since p_r is singular
         # at 0; above c directly, since f_d is near-singular at L-M -> 0.
         # Cubic maps cluster each panel's nodes at its outer end.
-        t, w = leggauss(_X_NODES)
-        t, w = 0.5 * (t + 1.0), 0.5 * w
+        t, w = gauss_legendre([0.0, 1.0], _X_NODES)
         c = 0.5 * M
         x_lo, x_hi, w = c * t**3, M - c * t**3, 3.0 * c * t**2 * w
         shape = alpha * d
@@ -243,15 +234,15 @@ class PolicyAnalytics:
             raise ValidationError(f"window {k} outside the {self._n} priced windows 0..{self._n - 1}")
         T = self.policy.inspection_period
         s_a, s_tau = self._survival[k : k + 2]
-        nodes, wd = leggauss(_D_NODES)
+        d, wd = gauss_legendre([0.0, T], _D_NODES)
         if self.policy.preventive_threshold >= self.spec.failure_threshold:
-            voids = np.append(self._passage.survival(k * T + 0.5 * T * (nodes + 1.0)), s_tau)
+            voids = np.append(self._passage.survival(k * T + d), s_tau)
         else:
             if self._log_voids is None:
                 self._log_voids = self._void_table()
             voids = np.exp(self._log_voids[:, k])
         p_c = s_a - float(voids[-1])
-        downtime = 0.5 * T * float(np.sum(wd * (s_a - voids[:-1])))
+        downtime = float(np.sum(wd * (s_a - voids[:-1])))
         p_p = s_a - s_tau - p_c
         return p_p, p_c, downtime
 

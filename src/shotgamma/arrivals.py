@@ -242,11 +242,3 @@ def simulate_arrival_batch(
     """
     run_ids, times, _ = simulate_carried_batch(params, horizon, np.zeros(n_runs), rng)
     return run_ids, times
-
-
-def write_trajectory_csv(path, times: np.ndarray) -> None:
-    """One time per row under a ``time`` header."""
-    with open(path, "w") as fh:
-        fh.write("time\n")
-        for t in np.asarray(times, float):
-            fh.write(f"{t:.12g}\n")

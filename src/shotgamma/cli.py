@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrivals import expected_num_arrivals, simulate_arrival_batch, write_trajectory_csv
+from .arrivals import expected_num_arrivals, simulate_arrival_batch
 from .config import ExperimentConfig, load_config
 from .degradation import (
     fit_half_width,
@@ -29,11 +29,19 @@ from .degradation import (
 )
 from .errors import NumericalError, ValidationError, checked_number
 from .lifetime import first_passage_law, hazard_limit, simulate_first_passage_batch
-from .maintenance import SimCounts, grid_search, sensitivity_sweep, write_surface_csv, write_sweep_csv
+from .maintenance import SimCounts, grid_search, sensitivity_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+
+
+def _write_csv(path: Path, header: str, rows, fmt: str = ".10g") -> None:
+    """A ``header`` line, then one line per row of values in ``fmt``, all comma-separated."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, fmt) for v in row) + "\n")
 
 
 def _write_manifest(outdir: Path, command: str, config: ExperimentConfig, args, extra=None):
@@ -55,22 +63,18 @@ def _write_manifest(outdir: Path, command: str, config: ExperimentConfig, args, 
 
 def cmd_simulate_arrivals(config: ExperimentConfig, args, outdir: Path) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(1,)))
-    n = config.n_trajectories
+    # the standard error of a mean count needs two trajectories
+    n = checked_number(config.n_trajectories, "n_trajectories", at_least=2, integer=True)
     horizon = config.horizon
     run_ids, times = simulate_arrival_batch(config.system.arrivals, horizon, n, rng)
-    first = np.sort(times[run_ids == 0])
-    write_trajectory_csv(outdir / "arrivals.csv", first)
-    grid = np.linspace(horizon / 10.0, horizon, 10)
-    with open(outdir / "arrival_check.csv", "w") as fh:
-        fh.write("t,empirical_mean,analytic,std_error,n_runs\n")
-        worst = 0.0
-        for t in grid:
-            counts = np.bincount(run_ids[times <= t], minlength=n)
-            emp = counts.mean()
-            se = counts.std(ddof=1) / np.sqrt(n)
-            ana = expected_num_arrivals(config.system.arrivals, float(t))
-            worst = max(worst, abs(emp - ana) / max(se, 1e-12))
-            fh.write(f"{t:.10g},{emp:.10g},{ana:.10g},{se:.10g},{n}\n")
+    _write_csv(outdir / "arrivals.csv", "time", np.sort(times[run_ids == 0])[:, None], ".12g")
+    rows = []
+    for t in np.linspace(horizon / 10.0, horizon, 10):
+        counts = np.bincount(run_ids[times <= t], minlength=n)
+        se = counts.std(ddof=1) / np.sqrt(n)
+        rows.append((t, counts.mean(), expected_num_arrivals(config.system.arrivals, float(t)), se, n))
+    _write_csv(outdir / "arrival_check.csv", "t,empirical_mean,analytic,std_error,n_runs", rows)
+    worst = max(abs(emp - ana) / max(se, 1e-12) for _, emp, ana, se, _ in rows)
     print(f"simulated {n} trajectories on [0, {horizon}]; worst |z| vs closed form: {worst:.2f}")
     _write_manifest(outdir, "simulate-arrivals", config, args, {"worst_abs_z": worst})
     tol = 4.0 * config.validation.get("tolerance_scale", 1.0)
@@ -96,15 +100,13 @@ def cmd_reliability(config: ExperimentConfig, args, outdir: Path) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=(2,)))
     w = simulate_first_passage_batch(spec, spec.failure_threshold, horizon, config.n_trajectories, rng)
     limit = hazard_limit(spec.arrivals)
-    curve = law.curve(ts)
+    survival = law.survival(ts)
     failed = np.sort(w[np.isfinite(w)])
     mc_surv = 1.0 - np.searchsorted(failed, ts, side="right") / w.size
-    curve.write_csv(
-        outdir / "lifetime.csv",
-        extra_columns={"hazard_limit": np.full_like(ts, limit), "mc_survival": mc_surv},
-    )
+    _write_csv(outdir / "lifetime.csv", "t,survival,hazard,hazard_limit,mc_survival",
+               zip(ts, survival, law.hazard(ts), np.full_like(ts, limit), mc_surv))
     (outdir / "lifetime.gp").write_text(_LIFETIME_GP)
-    gap = float(np.max(np.abs(curve.survival - mc_surv)))
+    gap = float(np.max(np.abs(survival - mc_surv)))
     print(f"lifetime curve on [0, {horizon}]; hazard limit {limit:.6f}; max |analytic-MC| = {gap:.4f}")
     _write_manifest(outdir, "reliability", config, args, {"max_gap": gap, "hazard_limit": limit})
     return EXIT_OK
@@ -124,10 +126,7 @@ def cmd_fit(config: ExperimentConfig, args, outdir: Path) -> int:
     )
     alpha = config.system.growth.shape_rate
     est, nll, scanned, values = fit_half_width(alpha, center, data, grid, full_output=True)
-    with open(outdir / "fit_curve.csv", "w") as fh:
-        fh.write("alpha_star,neg_log_likelihood\n")
-        for w, v in zip(scanned, values):
-            fh.write(f"{w:.10g},{v:.10g}\n")
+    _write_csv(outdir / "fit_curve.csv", "alpha_star,neg_log_likelihood", zip(scanned, values))
     print(
         f"fitted half-width {est:.4f} (neg. log-likelihood {nll:.4f}) "
         f"over {data.n_processes} processes, shape rate fixed at {alpha}"
@@ -158,7 +157,12 @@ def cmd_optimize(config: ExperimentConfig, args, outdir: Path) -> int:
         config.master_seed,
         threads=args.threads,
     )
-    write_surface_csv(outdir / "surface.csv", result)
+    _write_csv(
+        outdir / "surface.csv",
+        "T,M,cost_rate,std_error,preventive_fraction,corrective_fraction,censored_fraction,mean_cycle_length",
+        ((T, M, e.point, e.std_error, e.preventive_fraction, e.corrective_fraction, e.censored_fraction,
+          e.mean_cycle_length) for T, M, e in result.surface),
+    )
     (outdir / "surface.gp").write_text(_SURFACE_GP)
     print(
         f"optimum T={result.t_opt:.4f} M={result.m_opt:.4f} "
@@ -194,7 +198,8 @@ def cmd_sensitivity(config: ExperimentConfig, args, outdir: Path) -> int:
             n_cycles, config.sim, config.master_seed, threads=args.threads,
             fixed_policy=config.policy_or_error(),
         )
-    write_sweep_csv(outdir / "sensitivity.csv", rows)
+    _write_csv(outdir / "sensitivity.csv", "axis1,axis2,cost_opt,T_opt,M_opt",
+               ((r.axis1, r.axis2, r.cost_opt, r.t_opt, r.m_opt) for r in rows))
     print(f"sensitivity sweep ({kind}): {len(rows)} cells written")
     simulated = sum((r.simulated for r in rows), SimCounts())
     _write_manifest(outdir, "sensitivity", config, args,

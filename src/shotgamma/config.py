@@ -268,6 +268,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sens_raw = _section(raw.get("sensitivity"), "sensitivity", optional=(
         "kind", "axis1", "axis2", "n_cycles",
     ))
+    if sens_raw.get("kind", "parameters") not in ("parameters", "costs"):
+        raise ValidationError(f"sensitivity.kind must be 'parameters' or 'costs', got {sens_raw['kind']!r}")
     for key in ("axis1", "axis2"):
         axis = sens_raw.get(key, [])
         if not isinstance(axis, list):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import NumericalError, ValidationError, store_checked
-from .special import leggauss, log_gamma_diff
+from .special import gauss_legendre, log_gamma_diff
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +87,8 @@ class GammaModel:
         spec = self.scale_spec
         if isinstance(spec, DeterministicScale):
             return np.array([spec.beta]), np.ones(1)
-        nodes, weights = leggauss(_RATE_NODES)
-        theta = 0.5 * (spec.b - spec.a) * nodes + 0.5 * (spec.a + spec.b)
-        return 1.0 / theta, 0.5 * weights
+        theta, weights = gauss_legendre([spec.a, spec.b], _RATE_NODES)
+        return 1.0 / theta, weights / (spec.b - spec.a)
 
     def with_axes(self, shape_rate: float, scale_value: float) -> "GammaModel":
         """This model at a new shape rate and scale axis: the rate, or the
@@ -187,17 +186,12 @@ def difference_pdf(cdf, t) -> np.ndarray:
 def _volterra_nu_log(log_c: np.ndarray) -> np.ndarray:
     """``integral of exp(w*log_c) / Gamma(w) over w in (0, inf)``, vectorized."""
     log_c = np.atleast_1d(np.asarray(log_c, float))
-    nodes, weights = leggauss(64)
     w_max = max(60.0, float(np.exp(min(log_c.max(), 50.0))) * 1.6 + 40.0)
     edges = np.array([0.0, 1e-3, 1e-2, 1e-1, 1.0, 4.0, 16.0])
-    edges = np.append(edges[edges < w_max], w_max)
-    w = 0.5 * (edges[:-1, None] * (1 - nodes) + edges[1:, None] * (1 + nodes))
-    half = 0.5 * (edges[1:] - edges[:-1])
-    w_flat = w.ravel()
-    wt_flat = (half[:, None] * weights).ravel()
-    expo = np.outer(log_c, w_flat) - sp.gammaln(w_flat)
+    w, weights = gauss_legendre(np.append(edges[edges < w_max], w_max), 64)
+    expo = np.outer(log_c, w) - sp.gammaln(w)
     np.clip(expo, -745.0, None, out=expo)
-    return np.exp(expo) @ wt_flat
+    return np.exp(expo) @ weights
 
 
 def _potential_density(shape_rate: float, rate: float, z: np.ndarray) -> np.ndarray:
@@ -216,30 +210,15 @@ def _potential_nodes(shape_rate: float, rate: float, upper: float) -> tuple[np.n
     log space because ``z`` itself underflows there. Near ``upper`` geometric
     panels absorb a possible logarithmic factor from the caller's kernel.
     """
-    nodes, weights = leggauss(64)
     z0 = min(0.5 * upper, 0.2 / rate)
-    u0 = 1.0 / np.log(1.0 / (rate * z0))
-    u = 0.5 * u0 * (nodes + 1.0)
+    u, weights = gauss_legendre([0.0, 1.0 / np.log(1.0 / (rate * z0))], 64)
     z_sing = np.exp(np.maximum(-1.0 / u, -700.0)) / rate
     # weight * U(z) with U(z)*dz/du = exp(-rate*z) * nu(rate*z) / (shape_rate*u^2)
-    uw_sing = (
-        0.5 * u0 * weights
-        * np.exp(-rate * z_sing)
-        * _volterra_nu_log(-1.0 / u)
-        / (shape_rate * u**2)
-    )
-    edges = [z0]
-    gap = upper - z0
-    for frac in (0.5, 0.8, 0.95, 0.99, 0.999, 1.0):
-        edges.append(z0 + gap * frac)
-    z_mid, uw_mid = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        z_nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        z_mid.append(z_nodes)
-        uw_mid.append(0.5 * (hi - lo) * weights * _potential_density(shape_rate, rate, z_nodes))
-    z_nodes = np.concatenate([z_sing] + z_mid)
-    uw_nodes = np.concatenate([uw_sing] + uw_mid)
-    return z_nodes, uw_nodes
+    uw_sing = weights * np.exp(-rate * z_sing) * _volterra_nu_log(-1.0 / u) / (shape_rate * u**2)
+    fracs = np.array([0.0, 0.5, 0.8, 0.95, 0.99, 0.999, 1.0])
+    z_mid, weights = gauss_legendre(z0 + (upper - z0) * fracs, 64)
+    uw_mid = weights * _potential_density(shape_rate, rate, z_mid)
+    return np.concatenate([z_sing, z_mid]), np.concatenate([uw_sing, uw_mid])
 
 
 class DeltaHittingLaw:
@@ -275,16 +254,8 @@ class DeltaHittingLaw:
         self._norm = norm
         # Panels refined toward M, where the overshoot density has a
         # logarithmic singularity (the tail itself stays continuous).
-        gap = upper - lower
         fracs = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.6, 1.0])
-        gl_nodes, gl_weights = leggauss(64)
-        nodes, weights = [], []
-        for flo, fhi in zip(fracs[:-1], fracs[1:]):
-            lo, hi = lower + gap * flo, lower + gap * fhi
-            nodes.append(0.5 * (hi - lo) * gl_nodes + 0.5 * (hi + lo))
-            weights.append(0.5 * (hi - lo) * gl_weights)
-        self._y_nodes = np.concatenate(nodes)
-        self._y_weights = np.concatenate(weights)
+        self._y_nodes, self._y_weights = gauss_legendre(lower + (upper - lower) * fracs, 64)
         self._y_tail = self._overshoot_tail(self._y_nodes) / norm
         self._tail_at_upper = float(self._overshoot_tail(np.array([upper]))[0] / norm)
         from scipy.interpolate import PchipInterpolator  # lazy: adds about 26 MB to a process

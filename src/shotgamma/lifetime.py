@@ -19,7 +19,7 @@ from .arrivals import ShotNoiseParams, expected_intensity
 from .arrivals import simulate_arrival_batch  # noqa: F401 -- shotbench/tracing.py rebinds it
 from .degradation import GammaModel, HittingLaw
 from .errors import ValidationError, checked_number, store_checked
-from .special import leggauss
+from .special import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -32,25 +32,6 @@ class SystemSpec:
 
     def __post_init__(self):
         store_checked(self, "failure_threshold", above=0)
-
-
-@dataclass(frozen=True)
-class LifetimeCurve:
-    """Survival and hazard of the first exceedance on a time grid."""
-
-    times: np.ndarray
-    survival: np.ndarray
-    hazard: np.ndarray
-
-    def write_csv(self, path, extra_columns: dict | None = None) -> None:
-        cols = {"t": self.times, "survival": self.survival, "hazard": self.hazard}
-        if extra_columns:
-            cols.update(extra_columns)
-        names = list(cols)
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in zip(*(np.asarray(cols[n], float) for n in names)):
-                fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
 # Step of the uniform grids that tabulate the first-passage law and the void
@@ -156,12 +137,6 @@ class FirstPassageLaw:
 
         return self._at(t, slope)
 
-    def curve(self, times) -> LifetimeCurve:
-        times = np.asarray(times, float)
-        return LifetimeCurve(
-            times=times, survival=self.survival(times), hazard=self.hazard(times)
-        )
-
 
 def _quadratic_basis(s: np.ndarray) -> np.ndarray:
     """The Lagrange basis through the nodes 0, 1 and 2 of a panel (rows) at ``s``, in steps."""
@@ -176,11 +151,8 @@ def _step_kernel(c: float) -> tuple[np.ndarray, np.ndarray]:
     losing no digits at small ``c`` (as a closed form would) nor at large.
     """
     reach = 1.0 if c <= 40.0 else 40.0 / c
-    edges = np.linspace(0.0, reach, max(1, int(np.ceil(c * reach))) + 1)
-    nodes, weights = leggauss(16)
-    half = 0.5 * np.diff(edges)[:, None]
-    u = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
-    return u, (half * weights).ravel() * np.exp(-c * u)
+    u, w = gauss_legendre(np.linspace(0.0, reach, max(1, int(np.ceil(c * reach))) + 1), 16)
+    return u, w * np.exp(-c * u)
 
 
 def _first_order_filter(x: np.ndarray, a: float) -> np.ndarray:
@@ -273,9 +245,7 @@ def displaced_expected_intensity(spec: SystemSpec, threshold: float, t) -> float
     if t == 0 or spec.arrivals.mu == 0:
         return lam0_part
     delta = spec.arrivals.delta
-    nodes, weights = leggauss(64)
-    u = 0.5 * t * (nodes + 1.0)
-    w = 0.5 * t * weights
+    u, w = gauss_legendre([0.0, t], 64)
     H = (1.0 - np.exp(-delta * u)) / delta
     f_vals = law.pdf(np.maximum(t - u, 1e-12))
     return lam0_part + spec.arrivals.mu * float(np.sum(w * H * f_vals))
@@ -291,9 +261,7 @@ def expected_exceedances(spec: SystemSpec, threshold: float, t) -> float:
     if t == 0:
         return 0.0
     law = HittingLaw(spec.growth, threshold)
-    nodes, weights = leggauss(64)
-    u = 0.5 * t * (nodes + 1.0)
-    w = 0.5 * t * weights
+    u, w = gauss_legendre([0.0, t], 64)
     vals = expected_intensity(spec.arrivals, u) * law.cdf(t - u)
     return float(np.sum(w * vals))
 

@@ -453,36 +453,6 @@ class GridSearchResult:
         """Cycles and windows simulated over the grid (a successful search censors none)."""
         return sum((SimCounts(est.n_cycles, est.n_windows) for _, _, est in self.surface), SimCounts())
 
-    def surface_rows(self) -> list[tuple]:
-        rows = []
-        for T, M, est in self.surface:
-            rows.append(
-                (
-                    T,
-                    M,
-                    est.point,
-                    est.std_error,
-                    est.preventive_fraction,
-                    est.corrective_fraction,
-                    est.censored_fraction,
-                    est.mean_cycle_length,
-                )
-            )
-        return rows
-
-
-_SURFACE_HEADER = (
-    "T,M,cost_rate,std_error,preventive_fraction,corrective_fraction,"
-    "censored_fraction,mean_cycle_length"
-)
-
-
-def write_surface_csv(path, result: GridSearchResult) -> None:
-    with open(path, "w") as fh:
-        fh.write(_SURFACE_HEADER + "\n")
-        for row in result.surface_rows():
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
-
 
 def _grid_cell(args) -> tuple[int, CostRateEstimate]:
     idx, spec, policy, costs, n_cycles, sim, master_seed = args
@@ -591,10 +561,3 @@ def sensitivity_sweep(
     else:
         raise ValidationError("sweep kind must be 'parameters' or 'costs'")
     return rows
-
-
-def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    with open(path, "w") as fh:
-        fh.write("axis1,axis2,cost_opt,T_opt,M_opt\n")
-        for r in rows:
-            fh.write(f"{r.axis1:.10g},{r.axis2:.10g},{r.cost_opt:.10g},{r.t_opt:.10g},{r.m_opt:.10g}\n")

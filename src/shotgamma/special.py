@@ -1,20 +1,20 @@
 """Gamma-family special functions and quadrature primitives.
 
 The generalized incomplete-gamma difference behind the random-effects
-density and likelihood, the shared Gauss-Legendre tables, and an adaptive
+density and likelihood, the one Gauss-Legendre rule every fixed quadrature
+of the package is laid with (:func:`gauss_legendre`), and an adaptive
 quadrature (scipy's ``quad``) whose failures raise instead of warning.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 from scipy import special as sp
 
-from .errors import NumericalError, ValidationError, store_checked
+from .errors import NumericalError, ValidationError
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -28,21 +28,27 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision limit (``max_depth``) for adaptive quadrature."""
+def gauss_legendre(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``n``-point Gauss-Legendre rule on every panel
+    between consecutive ``edges`` along the last axis, flattened along it.
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-8
-    max_depth: int = 50
+    ``m + 1`` edges give ``m*n`` nodes; an ``(rows, 2)`` array gives one rule
+    per row. Each panel ``[lo, hi]`` maps ``x`` in ``[-1, 1]`` to
+    ``lo + half*(x + 1)`` with ``half = (hi - lo)/2``, so the rule is exact
+    for polynomials of degree up to ``2n - 1`` on each panel.
+    """
+    x, w = leggauss(n)
+    edges = np.asarray(edges, float)
+    lo = edges[..., :-1, None]
+    half = 0.5 * (edges[..., 1:, None] - lo)
+    flat = edges.shape[:-1] + (-1,)
+    return (lo + half * (x + 1.0)).reshape(flat), (half * w).reshape(flat)
 
-    def __post_init__(self):
-        store_checked(self, "abs_tol", above=0)
-        store_checked(self, "rel_tol", above=0)
-        store_checked(self, "max_depth", at_least=1, integer=True)
 
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Tolerances and subdivision limit of ``integrate``.
+_ABS_TOL = 1e-9
+_REL_TOL = 1e-8
+_MAX_SUBDIVISIONS = 50
 
 
 def log_gamma_diff(shape: ArrayLike, x1: ArrayLike, x2: ArrayLike) -> ArrayLike:
@@ -83,13 +89,10 @@ def _log_gamma_diff_quad(shape: float, x1: float, x2: float) -> float:
     # Panelled Gauss-Legendre in log space; geometric panels keep the
     # integrand resolved when x2/x1 is large.
     n_panels = max(1, int(np.ceil(np.log(x2 / x1) / np.log(4.0))), int(np.ceil((x2 - x1) / (10.0 + abs(shape)))))
-    edges = np.geomspace(x1, x2, n_panels + 1)
-    nodes, weights = leggauss(64)
-    z = 0.5 * (edges[:-1, None] * (1 - nodes) + edges[1:, None] * (1 + nodes))
-    half_widths = 0.5 * (edges[1:] - edges[:-1])
+    z, weights = gauss_legendre(np.geomspace(x1, x2, n_panels + 1), 64)
     log_f = (shape - 1.0) * np.log(z) - z
     m = log_f.max()
-    total = np.sum(half_widths[:, None] * weights * np.exp(log_f - m))
+    total = np.sum(weights * np.exp(log_f - m))
     if total <= 0.0:
         raise NumericalError(
             f"log_gamma_diff lost all precision on shape={shape}, [{x1}, {x2}]"
@@ -97,16 +100,11 @@ def _log_gamma_diff_quad(shape: float, x1: float, x2: float) -> float:
     return float(m + np.log(total))
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float = np.inf,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def integrate(f: Callable[[float], float], a: float, b: float = np.inf) -> float:
     """Adaptive quadrature of ``f`` over ``(a, b)``, ``b`` possibly infinite.
 
-    One call of :func:`scipy.integrate.quad` with ``spec.max_depth`` as its
-    subdivision limit. The failure quad would report as an
+    One call of :func:`scipy.integrate.quad` at absolute tolerance 1e-9,
+    relative tolerance 1e-8 and at most 50 subdivisions. The failure quad would report as an
     ``IntegrationWarning`` (subdivision limit, roundoff, divergence) and a
     non-finite result raise :class:`~shotgamma.errors.NumericalError`
     instead of returning silently.
@@ -116,7 +114,7 @@ def integrate(
 
     # full_output returns quad's failure message in place of the warning
     value, _, _, *failure = quad(
-        f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_depth, full_output=1
+        f, a, b, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS, full_output=1
     )
     if failure:
         raise NumericalError(f"quadrature failed on [{a}, {b}]: {failure[0]}")

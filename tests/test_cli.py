@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -231,6 +232,15 @@ class TestSimulateArrivals(object):
         assert "worst |z|" in capsys.readouterr().err
         assert json.loads((tmp_path / "run_manifest.json").read_text())["worst_abs_z"] > 4.0
 
+    def test_one_trajectory_rejected(self, tmp_path, capsys):
+        # one trajectory has no standard error, so no z-score can pass or fail
+        cfg = tmp_path / "one.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("n_trajectories: 4000", "n_trajectories: 1"))
+        out = tmp_path / "run"
+        assert main(["simulate-arrivals", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "n_trajectories" in capsys.readouterr().err
+        assert not (out / "arrival_check.csv").exists()
+
 
 class TestReliability:
     def test_runs_without_costs(self, tmp_path):
@@ -374,6 +384,14 @@ class TestSensitivity:
     def test_missing_section_rejected(self, small_config, tmp_path):
         assert main(["sensitivity", "--config", small_config, "--out", str(tmp_path)]) == 1
 
+    def test_unknown_kind_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(SMALL_CONFIG + "\nsensitivity: {kind: parameter, axis1: [1.0], axis2: [1.4]}\n")
+        with pytest.raises(ValidationError, match=r"sensitivity\.kind must be 'parameters' or 'costs'"):
+            load_config(str(cfg))
+        assert main(["sensitivity", "--config", str(cfg), "--out", str(tmp_path / "sens")]) == 1
+        assert "sensitivity.kind" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_benchmark_preset_passes(self, tmp_path, capsys):
@@ -413,3 +431,39 @@ class TestTracedRun:
             now = dict(vars(ns))
             assert now.keys() == old.keys()
             assert [k for k, v in old.items() if now[k] is not v] == []
+
+
+class TestWriteCsv:
+    def test_header_then_one_line_per_row(self, tmp_path):
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, "t,value", [(0.5, 1.0 / 3.0), (2, np.float64(1e-12))])
+        assert path.read_text() == "t,value\n0.5,0.3333333333\n2,1e-12\n"
+        cli._write_csv(path, "time", np.array([[np.pi], [10.0]]), ".12g")
+        assert path.read_text() == "time\n3.14159265359\n10\n"
+
+
+class TestCliOutputsTool:
+    def test_relative_out_is_resolved_before_commands_run(self, tmp_path, monkeypatch):
+        # The tool runs each command with cwd=--root, so every path it hands
+        # them must already be absolute and lie under the caller's --out.
+        tool = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
+        spec = importlib.util.spec_from_file_location("cli_outputs", tool)
+        cli_outputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cli_outputs)
+        calls = []
+
+        def fake_run(root, command, config, data, outdir):
+            calls.append((root, data, outdir))
+            outdir.mkdir(parents=True)
+            (outdir / "exit_code.txt").write_text("0\n")
+
+        monkeypatch.setattr(cli_outputs, "run_command", fake_run)
+        (tmp_path / "tree").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert cli_outputs.main(["--out", "out", "--root", "tree"]) == 0
+        out = (tmp_path / "out").resolve()
+        assert len(calls) == len(cli_outputs.PRESETS) * len(cli_outputs.COMMANDS)
+        for root, data, outdir in calls:
+            assert root == (tmp_path / "tree").resolve()
+            assert data == out / "observations.csv" and data.is_file()
+            assert outdir.is_absolute() and outdir.parent.parent == out

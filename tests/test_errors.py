@@ -11,7 +11,6 @@ from shotgamma.degradation import DeterministicScale, GammaModel, UniformInverse
 from shotgamma.errors import ValidationError, checked_number
 from shotgamma.lifetime import SystemSpec
 from shotgamma.maintenance import CostRates, PolicyParams, SimControl
-from shotgamma.special import QuadratureSpec
 
 # Each parameter type with valid values for every field; the int or float
 # fields are the ones the number rule governs.
@@ -25,7 +24,6 @@ TYPES = [
     (PolicyParams, {"inspection_period": 6.0, "preventive_threshold": 5.0}),
     (CostRates, {"preventive": 100.0, "corrective": 200.0, "inspection": 50.0, "downtime_rate": 60.0}),
     (SimControl, {"substeps": 16, "max_inspections": 200, "crossing_refinement": 0}),
-    (QuadratureSpec, {"abs_tol": 1e-9, "rel_tol": 1e-8, "max_depth": 50}),
 ]
 IDS = [cls.__name__ for cls, _ in TYPES]
 SCALARS = st.one_of(st.floats(), st.integers(), st.booleans(), st.text(max_size=4), st.none())

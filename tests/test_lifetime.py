@@ -216,17 +216,6 @@ class TestSampling:
         assert err.max() <= 1e-12
 
 
-class TestCurveOutput:
-    def test_csv(self, tmp_path):
-        law = first_passage_law(SPEC, 10.0, 20.0)
-        curve = law.curve(np.linspace(0.0, 20.0, 11))
-        path = tmp_path / "curve.csv"
-        curve.write_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "t,survival,hazard"
-        assert len(rows) == 12
-
-
 def _survival_deviation(spec, horizon, n, seeds):
     """Pooled failure-count deviation from the law and its bound, at ten times up to ``horizon``.
 

@@ -161,7 +161,7 @@ class TestGridSearch:
         kwargs = dict(t_grid=[4.0, 8.0], m_grid=[3.0, 6.0], n_cycles=120, sim=SIM, master_seed=17)
         res1 = grid_search(SPEC, COSTS, threads=1, **kwargs)
         res2 = grid_search(SPEC, COSTS, threads=2, **kwargs)
-        assert res1.surface_rows() == res2.surface_rows()
+        assert res1.surface == res2.surface
         assert (res1.t_opt, res1.m_opt) == (res2.t_opt, res2.m_opt)
 
     def test_tie_breaks_to_smaller_policy(self):

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 
 from shotgamma.errors import NumericalError, ValidationError
 from shotgamma.special import (
-    QuadratureSpec,
+    gauss_legendre,
     integrate,
     leggauss,
     log_gamma_diff,
@@ -30,6 +30,26 @@ def test_leggauss_is_shared_and_read_only():
         nodes[0] = 0.0
 
 
+def test_gauss_legendre_panels_and_rows():
+    n = 5
+    edges = np.array([-1.0, 0.25, 2.0, 3.5])
+    nodes, weights = gauss_legendre(edges, n)
+    assert nodes.shape == weights.shape == (3 * n,)
+    # exact for every degree up to 2n - 1 on each panel, so on the union too
+    for degree in range(2 * n):
+        exact = (edges[-1] ** (degree + 1) - edges[0] ** (degree + 1)) / (degree + 1)
+        assert np.sum(weights * nodes**degree) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+    # one rule per row, as the rows' own calls give it, weights summing to each width
+    rows = np.array([[0.0, 1.0], [2.0, 2.5], [-3.0, 4.0]])
+    row_nodes, row_weights = gauss_legendre(rows, n)
+    assert row_nodes.shape == row_weights.shape == (3, n)
+    for row, x, w in zip(rows, row_nodes, row_weights):
+        single = gauss_legendre(row, n)
+        np.testing.assert_array_equal(x, single[0])
+        np.testing.assert_array_equal(w, single[1])
+    np.testing.assert_allclose(row_weights.sum(axis=1), rows[:, 1] - rows[:, 0], rtol=1e-14)
+
+
 class TestIntegrate:
     def test_exponential_tail(self):
         assert integrate(lambda x: np.exp(-x), 0.0) == pytest.approx(1.0, abs=1e-8)
@@ -48,22 +68,15 @@ class TestIntegrate:
         )
 
     def test_non_convergence_is_reported(self):
-        tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_depth=2)
         cases = [
-            (lambda x: np.sin(50.0 / (x + 0.01)), 0.0, 1.0, tight),
-            (lambda x: 1.0 / (1.0 + x), 0.0, np.inf, QuadratureSpec()),
-            (lambda x: np.nan, 0.0, 1.0, QuadratureSpec()),
-            (lambda x: np.inf, 0.0, 1.0, QuadratureSpec()),
+            (lambda x: np.sin(50.0 / (x + 0.01)), 0.0, 1.0),
+            (lambda x: 1.0 / (1.0 + x), 0.0, np.inf),
+            (lambda x: np.nan, 0.0, 1.0),
+            (lambda x: np.inf, 0.0, 1.0),
         ]
-        for f, a, b, spec in cases:
+        for f, a, b in cases:
             with pytest.raises(NumericalError, match=rf"\[{a}, {b}\]"):
-                integrate(f, a, b, spec)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValidationError):
-            QuadratureSpec(max_depth=0)
+                integrate(f, a, b)
 
 
 class TestLogGammaDiff:

@@ -95,6 +95,8 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=ROOT, help="source tree whose CLI runs")
     parser.add_argument("--out", type=Path, required=True, help="new directory for all outputs")
     args = parser.parse_args(argv)
+    # the commands run in --root, so a relative --out must not be read from there
+    args.root, args.out = args.root.resolve(), args.out.resolve()
     args.out.mkdir(parents=True)
     data = args.out / "observations.csv"
     write_observations(data)
@@ -104,8 +106,7 @@ def main(argv=None) -> int:
     sources = list(PRESETS) + [str(Path(c).resolve()) for c in args.configs]
     for name, source in zip(names, sources):
         for command in COMMANDS:
-            run_command(args.root.resolve(), command, source, data.resolve(),
-                        args.out / name / command)
+            run_command(args.root, command, source, data, args.out / name / command)
             code = (args.out / name / command / "exit_code.txt").read_text().strip()
             print(f"{name} {command}: exit {code}", flush=True)
     return 0
